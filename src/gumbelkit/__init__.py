@@ -32,6 +32,7 @@ from .losses import (
     loss_values,
 )
 from .mdp import (
+    DatasetCounts,
     OfflineDataset,
     TabularMdp,
     behavior_value,
@@ -86,6 +87,7 @@ __all__ = [
     "loss_curve",
     "loss_grads",
     "loss_values",
+    "DatasetCounts",
     "OfflineDataset",
     "TabularMdp",
     "behavior_value",

@@ -145,15 +145,19 @@ def _build_spec(parser, variant_alias: str, beta: float, order: int | None,
         parser.error(str(err))
 
 
+def _loss_specs(args, parser, task: str) -> list[LossSpec]:
+    """The expanded losses named by --orders, then the variants named by --include."""
+    include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
+    specs = [LossSpec.expanded(n, beta=args.beta) for n in _parse_orders(args.orders, parser)]
+    specs += [_build_spec(parser, alias, args.beta, None, args.clip, args.tau) for alias in include]
+    if not specs:
+        parser.error(f"nothing to {task}: give --orders and/or --include")
+    return specs
+
+
 def _cmd_loss_curve(args, parser) -> int:
     grid = _parse_grid(args.grid, parser)
-    orders = _parse_orders(args.orders, parser)
-    include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
-    specs = [LossSpec.expanded(n, beta=args.beta) for n in orders]
-    for alias in include:
-        specs.append(_build_spec(parser, alias, args.beta, None, args.clip, args.tau))
-    if not specs:
-        parser.error("nothing to tabulate: give --orders and/or --include")
+    specs = _loss_specs(args, parser, "tabulate")
     rows = []
     for spec in specs:
         values = np.atleast_1d(loss_values(spec, grid))
@@ -175,13 +179,7 @@ def _cmd_err_dist(args, parser) -> int:
     if args.points < 3:
         parser.error("--points must be at least 3")
     grid = np.linspace(lo, hi, args.points)
-    orders = _parse_orders(args.orders, parser)
-    include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
-    specs = [LossSpec.expanded(n, beta=args.beta) for n in orders]
-    for alias in include:
-        specs.append(_build_spec(parser, alias, args.beta, None, args.clip, args.tau))
-    if not specs:
-        parser.error("nothing to tabulate: give --orders and/or --include")
+    specs = _loss_specs(args, parser, "tabulate")
     rows = []
     normalizers = {}
     for spec in specs:
@@ -222,47 +220,58 @@ def _read_config_file(path: str, parser) -> dict:
     return values
 
 
-def _resolve(args_value, file_cfg: dict, key: str, default, cast):
-    if args_value is not None:
-        return args_value
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
+# every regress setting, keyed by its flag's dest and config-file key: (default, cast)
+_REGRESS_SETTINGS = {
+    "loss": ("gumbel", str),
+    "order": (None, int),
+    "clip": (7.0, float),
+    "tau": (0.7, float),
+    "betas": (None, str),
+    "repeats": (100, int),
+    "data_size": (10_000, int),
+    "lr": (0.02, float),
+    "batch_size": (32, int),
+    "init_h": (1.0, float),
+    "target": ("minimizer", str),
+    "escape_factor": ("20", str),
+    "fixed_dataset": (False, lambda text: text.lower() in ("1", "true", "yes")),
+}
+
+
+def _regress_settings(args, parser) -> dict:
+    """Each regress setting from its flag, else from the --config file, else its default."""
+    file_cfg = _read_config_file(args.config, parser) if args.config else {}
+    unknown = sorted(set(file_cfg) - set(_REGRESS_SETTINGS))
+    if unknown:
+        parser.error(f"unknown config key(s) {', '.join(unknown)}; "
+                     f"known: {', '.join(sorted(_REGRESS_SETTINGS))}")
+    settings = {key: default for key, (default, _) in _REGRESS_SETTINGS.items()}
+    settings.update({key: _REGRESS_SETTINGS[key][1](text) for key, text in file_cfg.items()})
+    settings.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
+    return settings
 
 
 def _cmd_regress(args, parser) -> int:
-    file_cfg = _read_config_file(args.config, parser) if args.config else {}
-    loss_alias = _resolve(args.loss, file_cfg, "loss", "gumbel", str)
-    order = _resolve(args.order, file_cfg, "order", None, int)
-    clip = _resolve(args.clip, file_cfg, "clip", 7.0, float)
-    tau = _resolve(args.tau, file_cfg, "tau", 0.7, float)
-    betas = _resolve(args.betas, file_cfg, "betas", None, str)
-    beta_list = tuple(_parse_floats(betas, parser, "betas")) if betas else DEFAULT_BETAS
-    repeats = _resolve(args.repeats, file_cfg, "repeats", 100, int)
-    n_data = _resolve(args.data_size, file_cfg, "data_size", 10_000, int)
-    lr = _resolve(args.lr, file_cfg, "lr", 0.02, float)
-    batch = _resolve(args.batch_size, file_cfg, "batch_size", 32, int)
-    init_h = _resolve(args.init_h, file_cfg, "init_h", 1.0, float)
-    target = _resolve(args.target, file_cfg, "target", "minimizer", str)
-    escape_raw = _resolve(args.escape_factor, file_cfg, "escape_factor", "20", str)
+    cfg = _regress_settings(args, parser)
+    beta_list = tuple(_parse_floats(cfg["betas"], parser, "betas")) if cfg["betas"] else DEFAULT_BETAS
+    escape_raw = cfg["escape_factor"]
     escape = None if str(escape_raw).lower() == "none" else float(escape_raw)
-    fixed = args.fixed_dataset or str(file_cfg.get("fixed_dataset", "")).lower() in ("1", "true", "yes")
 
     # reference spec at beta 1; run_experiment re-keys beta per cell
-    spec = _build_spec(parser, loss_alias, 1.0, order, clip, tau)
+    spec = _build_spec(parser, cfg["loss"], 1.0, cfg["order"], cfg["clip"], cfg["tau"])
     try:
         base = RegressionConfig(
             beta_data=1.0,
             beta_reg=1.0,
             loss=spec if spec.variant == "expectile" else dataclasses.replace(spec, beta=1.0),
-            n_data=n_data,
-            lr=lr,
-            batch_size=batch,
-            repeats=repeats,
+            n_data=cfg["data_size"],
+            lr=cfg["lr"],
+            batch_size=cfg["batch_size"],
+            repeats=cfg["repeats"],
             master_seed=args.seed,
-            init_h=init_h,
-            resample_data=not fixed,
-            target=target,
+            init_h=cfg["init_h"],
+            resample_data=not cfg["fixed_dataset"],
+            target=cfg["target"],
             escape_factor=escape,
         )
     except ValueError as err:
@@ -276,9 +285,10 @@ def _cmd_regress(args, parser) -> int:
             "clip": "" if spec.clip is None else spec.clip,
             "tau": "" if spec.tau is None else spec.tau,
             "betas": ",".join(repr(b) for b in sorted(beta_list)),
-            "repeats": repeats, "data_size": n_data, "lr": lr, "batch_size": batch,
+            "repeats": cfg["repeats"], "data_size": cfg["data_size"], "lr": cfg["lr"],
+            "batch_size": cfg["batch_size"], "init_h": cfg["init_h"], "target": cfg["target"],
             "checkpoints": ",".join(str(c) for c in DEFAULT_CHECKPOINTS),
-            "init_h": init_h, "resample_data": not fixed, "target": target,
+            "resample_data": not cfg["fixed_dataset"],
             "escape_factor": "none" if escape is None else escape,
         },
     )
@@ -301,17 +311,13 @@ def _cmd_mdp_train(args, parser) -> int:
                 f"(or pass a JSON file path)"
             )
         mdp_name = args.mdp
-    orders = _parse_orders(args.orders, parser)
-    include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
-    specs = [LossSpec.expanded(n, beta=args.beta) for n in orders]
-    for alias in include:
-        specs.append(_build_spec(parser, alias, args.beta, None, args.clip, args.tau))
-    if not specs:
-        parser.error("nothing to train: give --orders and/or --include")
+    specs = _loss_specs(args, parser, "train")
     if args.mode == "closed" and any(not (s.variant == "l2" or s.order == 2) for s in specs):
         parser.error("--mode closed requires every loss to be the squared one (order 2 or l2)")
 
-    size = args.dataset_size if args.dataset_size else 200 * mdp.num_states * mdp.num_actions
+    size = args.dataset_size
+    if size is None:
+        size = 200 * mdp.num_states * mdp.num_actions
     rng = stream(args.seed, 0)
     try:
         dataset = generate_dataset(mdp, args.dataset, size, rng=rng)
@@ -467,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("minimizer", "logsumexp"), default=None)
     p.add_argument("--escape-factor", dest="escape_factor", default=None,
                    help="escape-bound multiple of the data scale, or 'none'")
-    p.add_argument("--fixed-dataset", action="store_true",
+    p.add_argument("--fixed-dataset", action="store_true", default=None,
                    help="reuse one dataset across repeats instead of resampling")
     p.add_argument("--config", default=None, help="key = value file; explicit flags win")
     p.set_defaults(func=_cmd_regress)

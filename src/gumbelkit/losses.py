@@ -146,13 +146,13 @@ def gumbel_loss_grad(residual, beta: float):
     return _like_input(out, residual)
 
 
-def _clipped_terms(residuals, beta: float, clip: float) -> np.ndarray:
+def _clipped_terms(residuals, beta: float, clip: float, pointwise: bool = False) -> np.ndarray:
+    """Per-sample clipped terms around m = max(z), or around each z itself when
+    every sample is its own batch of one; m is floored at -1 either way."""
     z = np.clip(_finite_array(residuals) / beta, -clip, clip)
-    m = float(np.max(z))
-    if m < -1.0:
-        m = -1.0
+    m = np.maximum(z if pointwise else np.max(z), -1.0)
     with np.errstate(over="ignore"):
-        em = math.exp(-m)
+        em = np.exp(-m)
         return np.exp(z - m) - z * em - em
 
 
@@ -272,12 +272,7 @@ def loss_values(spec: LossSpec, residuals):
         return expanded_gumbel_loss(residuals, spec.beta, 2)
     if spec.variant == "expectile":
         return expectile_loss(residuals, spec.tau)
-    # clipped, per-point batches of one: m = max(z, -1) for a single sample
-    z = np.clip(_finite_array(residuals) / spec.beta, -spec.clip, spec.clip)
-    m = np.maximum(z, -1.0)
-    em = np.exp(-m)
-    out = np.exp(z - m) - z * em - em
-    return _like_input(out, residuals)
+    return _like_input(_clipped_terms(residuals, spec.beta, spec.clip, pointwise=True), residuals)
 
 
 def loss_grads(spec: LossSpec, residuals):

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "TabularMdp",
     "OfflineDataset",
+    "DatasetCounts",
     "behavior_value",
     "soft_value",
     "generate_dataset",
@@ -79,6 +80,25 @@ class TabularMdp:
 
 
 @dataclass(frozen=True)
+class DatasetCounts:
+    """What the value fits read of a dataset: counts and mean rewards per cell.
+
+    visits         (S, A, S) number of rows per (s, a, s') cell
+    mean_reward    (S, A, S) mean reward of each cell's rows, 0 where a cell is empty
+    reward_sq_dev  sum over rows of (r - mean reward of the row's cell)**2
+    """
+
+    visits: np.ndarray
+    mean_reward: np.ndarray
+    reward_sq_dev: float
+
+    @property
+    def pair_counts(self) -> np.ndarray:
+        """(S, A) visit counts."""
+        return self.visits.sum(axis=2)
+
+
+@dataclass(frozen=True)
 class OfflineDataset:
     """Transitions (s, a, r, s') as parallel arrays; multiplicity is implicit."""
 
@@ -97,11 +117,19 @@ class OfflineDataset:
     def __len__(self) -> int:
         return len(self.states)
 
-    def pair_counts(self, num_states: int, num_actions: int) -> np.ndarray:
-        """(S, A) visit counts."""
-        counts = np.zeros((num_states, num_actions))
-        np.add.at(counts, (self.states, self.actions), 1.0)
-        return counts
+    def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
+        """Reduce the rows to per-(s, a, s') counts for an MDP of the given shape.
+
+        Raises ValueError when a state or action lies outside that shape.
+        """
+        shape = (num_states, num_actions, num_states)
+        cells = np.ravel_multi_index((self.states, self.actions, self.next_states), shape)
+        size = num_states * num_actions * num_states
+        visits = np.bincount(cells, minlength=size).astype(float)
+        sums = np.bincount(cells, weights=self.rewards, minlength=size)
+        mean = sums / np.maximum(visits, 1.0)
+        sq_dev = float(np.sum((self.rewards - mean[cells]) ** 2))
+        return DatasetCounts(visits.reshape(shape), mean.reshape(shape), sq_dev)
 
 
 def behavior_value(mdp: TabularMdp) -> np.ndarray:
@@ -160,16 +188,20 @@ def generate_dataset(
     every positive-probability cell at least one row.  ``rollout`` simulates
     one trajectory of ``size`` steps from state 0 and needs an rng.
     """
+    if size <= 0:
+        raise ValueError(f"dataset size must be positive, got {size}")
     if mode == "exhaustive":
-        return _exhaustive_dataset(mdp, size)
-    if mode == "rollout":
+        states, actions, next_states = _exhaustive_rows(mdp, size)
+    elif mode == "rollout":
         if rng is None:
             raise ValueError("rollout mode requires an rng")
-        return _rollout_dataset(mdp, size, rng)
-    raise ValueError(f"mode must be 'exhaustive' or 'rollout', got {mode!r}")
+        states, actions, next_states = _rollout_rows(mdp, size, rng)
+    else:
+        raise ValueError(f"mode must be 'exhaustive' or 'rollout', got {mode!r}")
+    return OfflineDataset(states, actions, mdp.reward[states, actions], next_states)
 
 
-def _exhaustive_dataset(mdp: TabularMdp, size: int) -> OfflineDataset:
+def _exhaustive_rows(mdp: TabularMdp, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s_count, a_count = mdp.num_states, mdp.num_actions
     weights = (mdp.behavior_policy[:, :, None] * mdp.transition) / s_count
     flat = weights.reshape(-1)
@@ -191,17 +223,12 @@ def _exhaustive_dataset(mdp: TabularMdp, size: int) -> OfflineDataset:
     idx = np.repeat(np.arange(flat.size), counts)
     states, rest = np.divmod(idx, a_count * s_count)
     actions, next_states = np.divmod(rest, s_count)
-    return OfflineDataset(
-        states=states,
-        actions=actions,
-        rewards=mdp.reward[states, actions],
-        next_states=next_states,
-    )
+    return states, actions, next_states
 
 
-def _rollout_dataset(mdp: TabularMdp, steps: int, rng: np.random.Generator) -> OfflineDataset:
-    if steps <= 0:
-        raise ValueError(f"rollout steps must be positive, got {steps}")
+def _rollout_rows(
+    mdp: TabularMdp, steps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     states = np.empty(steps, dtype=int)
     actions = np.empty(steps, dtype=int)
     next_states = np.empty(steps, dtype=int)
@@ -213,12 +240,7 @@ def _rollout_dataset(mdp: TabularMdp, steps: int, rng: np.random.Generator) -> O
         ns = rng.choice(state_ids, p=mdp.transition[s, a])
         states[t], actions[t], next_states[t] = s, a, ns
         s = ns
-    return OfflineDataset(
-        states=states,
-        actions=actions,
-        rewards=mdp.reward[states, actions],
-        next_states=next_states,
-    )
+    return states, actions, next_states
 
 
 def _bandit1() -> TabularMdp:

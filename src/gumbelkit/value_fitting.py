@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossSpec, loss_grads, loss_values
-from .mdp import OfflineDataset, TabularMdp
+from .losses import LossSpec, _clipped_terms, loss_grads, loss_values
+from .mdp import DatasetCounts, OfflineDataset, TabularMdp
 
 __all__ = [
     "TrainConfig",
@@ -111,36 +111,10 @@ class ValueTables:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _DatasetIndex:
-    """Cached count structure of one dataset against one MDP's shape."""
-
-    pair_counts: np.ndarray      # (S, A) row multiplicities
-    state_counts: np.ndarray     # (S,)
-    state_present: np.ndarray    # (S,) bool
-    pair_present: np.ndarray     # (S, A) bool
-    pair_weights: np.ndarray     # (S, A) within-state action weights
-
-
-def _index_dataset(dataset: OfflineDataset, num_states: int, num_actions: int) -> _DatasetIndex:
-    counts = dataset.pair_counts(num_states, num_actions)
-    state_counts = counts.sum(axis=1)
-    state_present = state_counts > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weights = np.where(state_present[:, None], counts / np.maximum(state_counts, 1)[:, None], 0.0)
-    return _DatasetIndex(
-        pair_counts=counts,
-        state_counts=state_counts,
-        state_present=state_present,
-        pair_present=counts > 0,
-        pair_weights=weights,
-    )
-
-
 def v_step(
     v: np.ndarray,
     q: np.ndarray,
-    dataset: OfflineDataset,
+    counts: DatasetCounts,
     loss: LossSpec,
     lr: float,
     steps: int,
@@ -148,35 +122,44 @@ def v_step(
 ) -> np.ndarray:
     """Update V against the dataset's Q residuals; absent states are untouched.
 
+    ``counts`` is the dataset's summary from :meth:`OfflineDataset.counts`.
     Gradient mode descends each state's dataset-weighted mean loss over its
     observed actions.  Closed-form mode (squared loss only) jumps straight to
     the weighted mean of Q(s, .).
     """
-    s_count, a_count = q.shape
-    idx = _index_dataset(dataset, s_count, a_count)
+    s_count = q.shape[0]
+    pair_counts = counts.pair_counts
+    state_counts = pair_counts.sum(axis=1)
+    present = pair_counts > 0
+    rows = np.nonzero(present)[0]          # state of each observed pair, ascending
+    weights = pair_counts[present] / state_counts[rows]
+    q_seen = q[present]
     v_new = v.astype(float).copy()
     if mode == "closed_form_n2":
         if not _is_squared(loss):
             raise ValueError("closed_form_n2 requires the squared loss")
-        means = (idx.pair_weights * q).sum(axis=1)
-        v_new[idx.state_present] = means[idx.state_present]
+        means = np.bincount(rows, weights=weights * q_seen, minlength=s_count)
+        seen = state_counts > 0
+        v_new[seen] = means[seen]
         return v_new
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
     for _ in range(steps):
-        residuals = q - v_new[:, None]
-        finite_rows = np.isfinite(np.where(idx.pair_present, residuals, 0.0)).all(axis=1)
-        if not finite_rows.all():
-            state = int(np.argmin(finite_rows))
+        residuals = q_seen - v_new[rows]
+        finite = np.isfinite(residuals)
+        if not finite.all():
+            state = int(rows[np.argmin(finite)])
             raise DivergenceError(
                 f"non-finite residual while fitting V at state {state}", state=state
             )
-        grads = _pair_grads(loss, residuals, idx)
-        state_grad = (idx.pair_weights * grads).sum(axis=1)
-        finite_grad = np.isfinite(np.where(idx.state_present, state_grad, 0.0))
+        # one call over the observed pairs; the clipped variant shares its max over them
+        grads = loss_grads(loss, residuals)
+        # absent states get an exact zero, so the update leaves them untouched
+        state_grad = np.bincount(rows, weights=weights * grads, minlength=s_count)
+        finite_grad = np.isfinite(state_grad)
         if not finite_grad.all():
             state = int(np.argmin(finite_grad))
-            bad = residuals[state][idx.pair_present[state]]
+            bad = residuals[rows == state]
             worst = float(bad[np.argmax(np.abs(bad))])
             raise DivergenceError(
                 f"non-finite gradient while fitting V at state {state} "
@@ -184,39 +167,24 @@ def v_step(
                 state=state,
                 residual=worst,
             )
-        v_new = np.where(idx.state_present, v_new - lr * state_grad, v_new)
+        v_new = v_new - lr * state_grad
     return v_new
-
-
-def _pair_grads(loss: LossSpec, residuals: np.ndarray, idx: _DatasetIndex) -> np.ndarray:
-    """Per-(s, a) gradients; the clipped variant shares its max over observed pairs."""
-    if loss.variant == "clipped_gumbel":
-        flat = residuals[idx.pair_present]
-        grads = np.zeros_like(residuals)
-        grads[idx.pair_present] = loss_grads(loss, flat)
-        return grads
-    safe = np.where(idx.pair_present, residuals, 0.0)
-    return np.asarray(loss_grads(loss, safe))
 
 
 def q_step(
     q: np.ndarray,
     v: np.ndarray,
-    dataset: OfflineDataset,
+    counts: DatasetCounts,
     gamma: float,
     mode: str = "closed_form",
     lr: float = 0.5,
     steps: int = 1,
 ) -> np.ndarray:
     """Update Q toward the dataset mean of r + gamma V(s'); absent pairs are untouched."""
-    s_count, a_count = q.shape
-    counts = dataset.pair_counts(s_count, a_count)
-    present = counts > 0
-    targets = dataset.rewards + gamma * v[dataset.next_states]
-    sums = np.zeros((s_count, a_count))
-    np.add.at(sums, (dataset.states, dataset.actions), targets)
-    with np.errstate(invalid="ignore"):
-        means = np.where(present, sums / np.maximum(counts, 1), 0.0)
+    pair_counts = counts.pair_counts
+    present = pair_counts > 0
+    sums = np.sum(counts.visits * (counts.mean_reward + gamma * v), axis=2)
+    means = sums / np.maximum(pair_counts, 1.0)
     q_new = q.astype(float).copy()
     if mode == "closed_form":
         q_new[present] = means[present]
@@ -236,15 +204,12 @@ def _value_scale_bound(mdp: TabularMdp, loss: LossSpec, factor: float | None) ->
     return factor * (reward_span / (1.0 - mdp.gamma) + loss.beta * math.log(mdp.num_actions + 1) + 1.0)
 
 
-def _dataset_v_loss(loss: LossSpec, residuals: np.ndarray, idx: _DatasetIndex) -> float:
-    flat = residuals[idx.pair_present]
-    weights = idx.pair_counts[idx.pair_present]
+def _dataset_v_loss(loss: LossSpec, residuals: np.ndarray, weights: np.ndarray) -> float:
+    """Row mean of the V loss from the observed pairs' residuals and counts."""
     if loss.variant == "clipped_gumbel":
-        values = np.repeat(flat, weights.astype(int))
-        from .losses import clipped_gumbel_loss
-
-        return clipped_gumbel_loss(values, loss.beta, loss.clip)
-    values = np.asarray(loss_values(loss, flat))
+        values = _clipped_terms(residuals, loss.beta, loss.clip)
+    else:
+        values = np.asarray(loss_values(loss, residuals))
     return float(np.sum(values * weights) / np.sum(weights))
 
 
@@ -255,16 +220,18 @@ def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> Valu
     note naming what escaped.
     """
     s_count, a_count = mdp.num_states, mdp.num_actions
-    idx = _index_dataset(dataset, s_count, a_count)
+    counts = dataset.counts(s_count, a_count)
+    pair_counts = counts.pair_counts
+    present = pair_counts > 0
     bound = _value_scale_bound(mdp, config.loss, config.escape_factor)
     v = np.zeros(s_count)
     q = np.zeros((s_count, a_count))
     trace: list[IterationRecord] = []
     for it in range(1, config.outer_iterations + 1):
         try:
-            q = q_step(q, v, dataset, mdp.gamma, mode=config.q_mode, lr=config.lr_q, steps=1)
+            q = q_step(q, v, counts, mdp.gamma, mode=config.q_mode, lr=config.lr_q, steps=1)
             v_new = v_step(
-                v, q, dataset, config.loss, config.lr_v, config.v_steps, mode=config.v_mode
+                v, q, counts, config.loss, config.lr_v, config.v_steps, mode=config.v_mode
             )
         except DivergenceError as err:
             return ValueTables(
@@ -282,10 +249,11 @@ def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> Valu
                 divergence_note=f"table entries went {what} at iteration {it}", trace=trace,
             )
         change = float(np.max(np.abs(v_new - v)))
-        residuals = q - v_new[:, None]
-        v_loss = _dataset_v_loss(config.loss, residuals, idx)
-        targets = dataset.rewards + mdp.gamma * v_new[dataset.next_states]
-        q_loss = float(np.mean((targets - q[dataset.states, dataset.actions]) ** 2))
+        residuals = (q - v_new[:, None])[present]
+        v_loss = _dataset_v_loss(config.loss, residuals, pair_counts[present])
+        # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the within-cell spread
+        gaps = counts.mean_reward + mdp.gamma * v_new - q[:, :, None]
+        q_loss = float((np.sum(counts.visits * gaps**2) + counts.reward_sq_dev) / len(dataset))
         trace.append(IterationRecord(it, change, v_loss, q_loss))
         v = v_new
         if change < config.tolerance:

@@ -107,7 +107,8 @@ class TestRegressCommand:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("repeats = 2\ndata_size = 300\nloss = expanded\norder = 4\n")
+        cfg.write_text("repeats = 2\ndata_size = 300\nloss = expanded\norder = 4\n"
+                       "fixed-dataset = yes\n")
         out = tmp_path / "r.csv"
         assert run_cli(["regress", "--config", cfg, "--betas", "2", "--repeats", "3",
                         "--out", out]) == 0
@@ -115,6 +116,18 @@ class TestRegressCommand:
         assert rows[0]["loss_variant"] == "expanded_gumbel"
         assert rows[0]["order"] == "4"
         assert rows[0]["repeats"] == "3"  # flag wins over file
+        manifest = (out.parent / (out.name + ".manifest.txt")).read_text()
+        assert "config.resample_data=False" in manifest
+
+    def test_config_file_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats = 2\nbetaz = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["regress", "--config", cfg, "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s) betaz" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_expanded_requires_order(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -150,6 +163,14 @@ class TestMdpTrainCommand:
         err = capsys.readouterr().err
         for name in ("bandit1", "chain3", "risky5"):
             assert name in err
+
+    @pytest.mark.parametrize("size", ("0", "-5"))
+    def test_nonpositive_dataset_size_rejected(self, tmp_path, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["mdp-train", "--mdp", "bandit1", "--dataset-size", size,
+                     "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_mdp_file_roundtrip(self, tmp_path):
         from gumbelkit.mdp import save_mdp, zoo

@@ -128,7 +128,7 @@ class TestDatasets:
         transition[:, 1, 1] = 1.0
         mdp = TabularMdp(transition, np.zeros((2, 2)), 0.9, np.full((2, 2), 0.5))
         data = generate_dataset(mdp, "exhaustive", 40)
-        counts = data.pair_counts(2, 2)
+        counts = data.counts(2, 2).pair_counts
         np.testing.assert_array_equal(counts, np.full((2, 2), 10.0))
 
     def test_exhaustive_matches_joint_weights_exactly(self):
@@ -139,10 +139,17 @@ class TestDatasets:
         np.add.at(triple_counts, (data.states, data.actions, data.next_states), 1.0)
         expected = size * mdp.behavior_policy[:, :, None] * mdp.transition / 5.0
         np.testing.assert_allclose(triple_counts, expected, atol=1e-9)
+        np.testing.assert_allclose(data.counts(5, 2).visits, expected, atol=1e-9)
 
     def test_exhaustive_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_dataset(zoo("risky5"), "exhaustive", 10)
+
+    @pytest.mark.parametrize("mode", ("exhaustive", "rollout"))
+    @pytest.mark.parametrize("size", (0, -5))
+    def test_nonpositive_size_rejected(self, mode, size):
+        with pytest.raises(ValueError, match="must be positive"):
+            generate_dataset(zoo("bandit1"), mode, size, rng=stream(0, 0))
 
     def test_rollout_deterministic_dynamics_repeat_one_trajectory(self):
         transition = np.zeros((2, 1, 2))
@@ -163,7 +170,7 @@ class TestDatasets:
         joint = dist[:, None] * mdp.behavior_policy
 
         data = generate_dataset(mdp, "rollout", 100_000, rng=stream(8, 0))
-        counts = data.pair_counts(mdp.num_states, mdp.num_actions)
+        counts = data.counts(mdp.num_states, mdp.num_actions).pair_counts
         empirical = counts / counts.sum()
         total_variation = 0.5 * np.abs(empirical - joint).sum()
         assert total_variation < 0.01
@@ -179,6 +186,11 @@ class TestDatasets:
     def test_dataset_shape_validation(self):
         with pytest.raises(ValueError):
             OfflineDataset(np.array([0]), np.array([0, 1]), np.array([0.0]), np.array([0]))
+        data = OfflineDataset(np.array([0, 1]), np.array([0, 2]), np.zeros(2), np.array([1, 0]))
+        data.counts(2, 3)
+        for shape in ((2, 2), (1, 3)):  # an action, then a state, outside the MDP
+            with pytest.raises(ValueError):
+                data.counts(*shape)
 
 
 class TestSerialization:

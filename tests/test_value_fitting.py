@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from gumbelkit.losses import LossSpec, expanded_gumbel_loss
+from gumbelkit.losses import LossSpec, clipped_gumbel_loss, expanded_gumbel_loss
 from gumbelkit.mdp import TabularMdp, behavior_value, generate_dataset, soft_value, zoo
+from gumbelkit.rng import stream
 from gumbelkit.value_fitting import TrainConfig, q_step, train, v_step
 
 EXACT_SIZES = {"bandit1": 400, "chain3": 1200, "risky5": 2000}
@@ -23,6 +25,14 @@ def sweep_config(loss, beta, **overrides):
     return TrainConfig(**defaults)
 
 
+def noisy_rollout(name="chain3", size=600, seed=3):
+    """Rollout dataset whose rewards vary within each (s, a, s') cell."""
+    mdp = zoo(name)
+    data = generate_dataset(mdp, "rollout", size, rng=stream(seed, 0))
+    noise = stream(seed, 1).normal(size=size)
+    return mdp, dataclasses.replace(data, rewards=data.rewards + noise)
+
+
 def two_q_bandit(rewards, gamma=0.0, policy=(0.5, 0.5)):
     transition = np.ones((1, 2, 1))
     return TabularMdp(
@@ -38,7 +48,8 @@ class TestVStep:
         mdp = zoo("risky5")
         data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"])
         q = np.arange(10, dtype=float).reshape(5, 2)
-        v = v_step(np.zeros(5), q, data, LossSpec.l2(), lr=0.1, steps=1, mode="closed_form_n2")
+        v = v_step(np.zeros(5), q, data.counts(5, 2), LossSpec.l2(), lr=0.1, steps=1,
+                   mode="closed_form_n2")
         expected = (mdp.behavior_policy * q).sum(axis=1)
         np.testing.assert_allclose(v, expected, atol=1e-12)
 
@@ -46,14 +57,15 @@ class TestVStep:
         mdp = zoo("bandit1")
         data = generate_dataset(mdp, "exhaustive", 400)
         with pytest.raises(ValueError):
-            v_step(np.zeros(1), np.zeros((1, 2)), data, LossSpec.gumbel(), 0.1, 1, mode="closed_form_n2")
+            v_step(np.zeros(1), np.zeros((1, 2)), data.counts(1, 2), LossSpec.gumbel(), 0.1, 1,
+                   mode="closed_form_n2")
 
     def test_absent_states_untouched(self):
         mdp = zoo("bandit1")
         data = generate_dataset(mdp, "exhaustive", 400)
         # widen the tables artificially: state 1 never appears in the dataset
         q = np.array([[0.0, 1.0], [5.0, 5.0]])
-        v = v_step(np.array([0.0, -3.0]), q, data, LossSpec.l2(), 0.5, 10)
+        v = v_step(np.array([0.0, -3.0]), q, data.counts(2, 2), LossSpec.l2(), 0.5, 10)
         assert v[1] == -3.0
         assert v[0] != 0.0
 
@@ -63,7 +75,7 @@ class TestVStep:
         q = np.array([[0.0, 1.0]])
         v = np.zeros(1)
         for _ in range(400):
-            v = v_step(v, q, data, LossSpec.gumbel(), lr=0.2, steps=10)
+            v = v_step(v, q, data.counts(1, 2), LossSpec.gumbel(), lr=0.2, steps=10)
         assert v[0] == pytest.approx(math.log((1.0 + math.e) / 2.0), abs=1e-9)
 
     def test_truncated_loss_lands_between_mean_and_log_partition(self):
@@ -72,7 +84,7 @@ class TestVStep:
         q = np.array([[0.0, 1.0]])
         v = np.zeros(1)
         for _ in range(400):
-            v = v_step(v, q, data, LossSpec.expanded(8), lr=0.2, steps=10)
+            v = v_step(v, q, data.counts(1, 2), LossSpec.expanded(8), lr=0.2, steps=10)
         mean, lse = 0.5, math.log((1.0 + math.e) / 2.0)
         assert mean < v[0] < lse
         # independent check: golden-section minimization of the empirical loss
@@ -93,27 +105,39 @@ class TestQStep:
         mdp = TabularMdp(transition, np.array([[1.0], [2.0]]), 0.5, np.ones((2, 1)))
         data = generate_dataset(mdp, "exhaustive", 10)
         v = np.array([3.0, 4.0])
-        q = q_step(np.zeros((2, 1)), v, data, mdp.gamma)
+        q = q_step(np.zeros((2, 1)), v, data.counts(2, 1), mdp.gamma)
         np.testing.assert_allclose(q[:, 0], [1.0 + 0.5 * 4.0, 2.0 + 0.5 * 3.0], atol=1e-12)
 
     def test_myopic_gives_mean_reward(self):
         mdp = two_q_bandit((0.25, 0.75))
         data = generate_dataset(mdp, "exhaustive", 100)
-        q = q_step(np.zeros((1, 2)), np.array([9.9]), data, gamma=0.0)
+        q = q_step(np.zeros((1, 2)), np.array([9.9]), data.counts(1, 2), gamma=0.0)
         np.testing.assert_allclose(q, [[0.25, 0.75]], atol=1e-12)
 
     def test_stochastic_exhaustive_matches_expectation(self):
         mdp = zoo("risky5")
         data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"])
         v = np.linspace(-1.0, 1.0, 5)
-        q = q_step(np.zeros((5, 2)), v, data, mdp.gamma)
+        q = q_step(np.zeros((5, 2)), v, data.counts(5, 2), mdp.gamma)
         expected = mdp.reward + mdp.gamma * np.einsum("sat,t->sa", mdp.transition, v)
         np.testing.assert_allclose(q, expected, atol=1e-12)
+
+    def test_matches_row_level_mean_with_noisy_rewards(self):
+        mdp, data = noisy_rollout()
+        v = np.array([0.3, -1.2, 2.5])
+        q = q_step(np.zeros((3, 2)), v, data.counts(3, 2), mdp.gamma)
+        targets = data.rewards + mdp.gamma * v[data.next_states]
+        for s in range(3):
+            for a in range(2):
+                rows = (data.states == s) & (data.actions == a)
+                assert rows.any()
+                np.testing.assert_allclose(q[s, a], targets[rows].mean(), rtol=1e-12)
 
     def test_gradient_mode_moves_toward_target(self):
         mdp = two_q_bandit((0.0, 1.0))
         data = generate_dataset(mdp, "exhaustive", 100)
-        q = q_step(np.zeros((1, 2)), np.zeros(1), data, 0.0, mode="gradient", lr=0.25, steps=50)
+        q = q_step(np.zeros((1, 2)), np.zeros(1), data.counts(1, 2), 0.0, mode="gradient", lr=0.25,
+                   steps=50)
         np.testing.assert_allclose(q, [[0.0, 1.0]], atol=1e-6)
 
 
@@ -202,6 +226,21 @@ class TestTrain:
         out = train(mdp, data, sweep_config(LossSpec.expanded(2, beta=1.0), 1.0))
         assert out.trace[0].max_change > out.trace[-1].max_change
         assert math.isfinite(out.final_v_loss) and math.isfinite(out.final_q_loss)
+
+    @pytest.mark.parametrize("loss", (LossSpec.expanded(4), LossSpec.clipped(beta=1.0, clip=7.0)))
+    def test_trace_losses_match_row_level_formulas(self, loss):
+        mdp, data = noisy_rollout()
+        out = train(mdp, data, sweep_config(loss, 1.0, outer_iterations=7))
+        assert not out.converged and not out.diverged
+        q_rows = out.q[data.states, data.actions]
+        targets = data.rewards + mdp.gamma * out.v[data.next_states]
+        np.testing.assert_allclose(out.final_q_loss, np.mean((targets - q_rows) ** 2), rtol=1e-12)
+        residuals = q_rows - out.v[data.states]
+        if loss.variant == "clipped_gumbel":
+            v_loss = clipped_gumbel_loss(residuals, loss.beta, loss.clip)
+        else:
+            v_loss = np.mean(expanded_gumbel_loss(residuals, loss.beta, loss.order))
+        np.testing.assert_allclose(out.final_v_loss, v_loss, rtol=1e-12)
 
 
 class TestConfigValidation:

@@ -246,7 +246,11 @@ def _regress_settings(args, parser) -> dict:
         parser.error(f"unknown config key(s) {', '.join(unknown)}; "
                      f"known: {', '.join(sorted(_REGRESS_SETTINGS))}")
     settings = {key: default for key, (default, _) in _REGRESS_SETTINGS.items()}
-    settings.update({key: _REGRESS_SETTINGS[key][1](text) for key, text in file_cfg.items()})
+    for key, text in file_cfg.items():
+        try:
+            settings[key] = _REGRESS_SETTINGS[key][1](text)
+        except ValueError:
+            parser.error(f"config file {args.config!r}: bad value {text!r} for key {key}")
     settings.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
     return settings
 

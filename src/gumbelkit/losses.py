@@ -6,6 +6,13 @@ works on the scaled residual z = residual / beta.  Losses return per-sample
 values and leave batch reduction to the caller, with one exception:
 :func:`clipped_gumbel_loss` subtracts the batch maximum inside the
 exponential, which couples the samples, so it is inherently a batch mean.
+The batch is the last axis: a (repeats, batch) array is that many batches,
+each with its own maximum.
+
+The standalone kernels check their parameters and that the residuals are
+finite.  :func:`loss_values` and :func:`loss_grads` trust their
+:class:`LossSpec`, whose parameters were checked when it was built, and take
+the residuals as finite: every caller in the package checks them first.
 
 The exponential is evaluated in double precision.  When e**z overflows, the
 result is returned as an IEEE infinity instead of raising, so a training loop
@@ -119,6 +126,68 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
     return float(out) if np.ndim(template) == 0 else out
 
 
+# Unchecked kernels on float arrays, shared by the standalone kernels and the
+# spec dispatch.
+
+def _gumbel_terms(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(z) - z - 1.0
+
+
+def _gumbel_grads(z: np.ndarray, beta: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return (1.0 - np.exp(z)) / beta
+
+
+def _clipped_terms(residuals: np.ndarray, beta: float, clip: float,
+                   pointwise: bool = False) -> np.ndarray:
+    """Per-sample clipped terms around m = the max of z along the last axis, or
+    around each z itself when every sample is its own batch of one; m is
+    floored at -1 either way."""
+    z = np.clip(residuals / beta, -clip, clip)
+    m = np.maximum(z if pointwise else z.max(axis=-1, keepdims=True), -1.0)
+    with np.errstate(over="ignore"):
+        em = np.exp(-m)
+        return np.exp(z - m) - z * em - em
+
+
+def _clipped_grads(residuals: np.ndarray, beta: float, clip: float) -> np.ndarray:
+    zraw = residuals / beta
+    z = np.clip(zraw, -clip, clip)
+    m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
+    with np.errstate(over="ignore"):
+        grads = np.exp(-m) * (1.0 - np.exp(z)) / beta
+    return np.where(np.abs(zraw) <= clip, grads, 0.0)
+
+
+def _series_terms(z: np.ndarray, order: int) -> np.ndarray:
+    # Horner: after the loop acc = z * sum_{j=2..n} z**(j-2) / j!
+    c = _recip_factorials(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = c[order] * z
+        for j in range(order - 1, 1, -1):
+            acc = (acc + c[j]) * z
+        return acc * z
+
+
+def _series_grads(z: np.ndarray, beta: float, order: int) -> np.ndarray:
+    # Horner: after the loop acc = sum_{k=1..n-1} z**k / k!
+    c = _recip_factorials(order - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = c[order - 1] * z
+        for k in range(order - 2, 0, -1):
+            acc = (acc + c[k]) * z
+        return -acc / beta
+
+
+def _expectile_terms(r: np.ndarray, tau: float) -> np.ndarray:
+    return np.where(r < 0, 1.0 - tau, tau) * r * r
+
+
+def _expectile_grads(r: np.ndarray, tau: float) -> np.ndarray:
+    return -2.0 * np.where(r < 0, 1.0 - tau, tau) * r
+
+
 def gumbel_loss(residual, beta: float):
     """Per-sample loss e**z - z - 1 with z = residual / beta.
 
@@ -127,10 +196,7 @@ def gumbel_loss(residual, beta: float):
     as +inf.
     """
     _check_beta(beta)
-    z = _finite_array(residual) / beta
-    with np.errstate(over="ignore"):
-        out = np.exp(z) - z - 1.0
-    return _like_input(out, residual)
+    return _like_input(_gumbel_terms(_finite_array(residual) / beta), residual)
 
 
 def gumbel_loss_grad(residual, beta: float):
@@ -140,20 +206,7 @@ def gumbel_loss_grad(residual, beta: float):
     mechanism by which mismatched-scale training blows up.
     """
     _check_beta(beta)
-    z = _finite_array(residual) / beta
-    with np.errstate(over="ignore"):
-        out = (1.0 - np.exp(z)) / beta
-    return _like_input(out, residual)
-
-
-def _clipped_terms(residuals, beta: float, clip: float, pointwise: bool = False) -> np.ndarray:
-    """Per-sample clipped terms around m = max(z), or around each z itself when
-    every sample is its own batch of one; m is floored at -1 either way."""
-    z = np.clip(_finite_array(residuals) / beta, -clip, clip)
-    m = np.maximum(z if pointwise else np.max(z), -1.0)
-    with np.errstate(over="ignore"):
-        em = np.exp(-m)
-        return np.exp(z - m) - z * em - em
+    return _like_input(_gumbel_grads(_finite_array(residual) / beta, beta), residual)
 
 
 def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
@@ -167,7 +220,7 @@ def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
     _check_beta(beta)
     if not clip > 0:
         raise ValueError(f"clip must be positive, got {clip}")
-    arr = np.atleast_1d(np.asarray(residuals, dtype=float))
+    arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss requires a nonempty batch")
     return float(np.mean(_clipped_terms(arr, beta, clip)))
@@ -185,16 +238,7 @@ def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
     arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss_grad requires a nonempty batch")
-    zraw = arr / beta
-    z = np.clip(zraw, -clip, clip)
-    m = float(np.max(z))
-    if m < -1.0:
-        m = -1.0
-    inside = np.abs(zraw) <= clip
-    with np.errstate(over="ignore"):
-        em = math.exp(-m)
-        grads = em * (1.0 - np.exp(z)) / beta
-    return np.where(inside, grads, 0.0)
+    return _clipped_grads(arr, beta, clip)
 
 
 @lru_cache(maxsize=None)
@@ -212,14 +256,7 @@ def expanded_gumbel_loss(residual, beta: float, order: int):
     _check_beta(beta)
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
-    z = _finite_array(residual) / beta
-    c = _recip_factorials(order)
-    acc = np.full_like(z, c[order])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(order - 1, 1, -1):
-            acc = acc * z + c[j]
-        out = acc * z * z
-    return _like_input(out, residual)
+    return _like_input(_series_terms(_finite_array(residual) / beta, order), residual)
 
 
 def expanded_gumbel_loss_grad(residual, beta: float, order: int):
@@ -230,66 +267,64 @@ def expanded_gumbel_loss_grad(residual, beta: float, order: int):
     _check_beta(beta)
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
-    z = _finite_array(residual) / beta
-    c = _recip_factorials(order - 1)
-    acc = np.full_like(z, c[order - 1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(order - 2, 0, -1):
-            acc = acc * z + c[k]
-        out = -(acc * z) / beta
-    return _like_input(out, residual)
+    return _like_input(_series_grads(_finite_array(residual) / beta, beta, order), residual)
 
 
 def expectile_loss(residual, tau: float):
     """Asymmetric squared loss |tau - 1[residual < 0]| * residual**2."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    r = _finite_array(residual)
-    weight = np.where(r < 0, 1.0 - tau, tau)
-    return _like_input(weight * r * r, residual)
+    return _like_input(_expectile_terms(_finite_array(residual), tau), residual)
 
 
 def expectile_loss_grad(residual, tau: float):
     """Derivative of :func:`expectile_loss` with respect to the prediction."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    r = _finite_array(residual)
-    weight = np.where(r < 0, 1.0 - tau, tau)
-    return _like_input(-2.0 * weight * r, residual)
+    return _like_input(_expectile_grads(_finite_array(residual), tau), residual)
 
 
 def loss_values(spec: LossSpec, residuals):
-    """Pointwise loss values for any spec.
+    """Pointwise loss values for any spec, on finite residuals of any shape.
 
     For the clipped variant each residual is treated as its own batch of one,
     which matches how a loss curve is read.
     """
-    if spec.variant == "gumbel":
-        return gumbel_loss(residuals, spec.beta)
-    if spec.variant == "expanded_gumbel":
-        return expanded_gumbel_loss(residuals, spec.beta, spec.order)
-    if spec.variant == "l2":
-        return expanded_gumbel_loss(residuals, spec.beta, 2)
-    if spec.variant == "expectile":
-        return expectile_loss(residuals, spec.tau)
-    return _like_input(_clipped_terms(residuals, spec.beta, spec.clip, pointwise=True), residuals)
+    r = np.asarray(residuals, dtype=float)
+    variant = spec.variant
+    if variant == "gumbel":
+        out = _gumbel_terms(r / spec.beta)
+    elif variant == "expanded_gumbel":
+        out = _series_terms(r / spec.beta, spec.order)
+    elif variant == "l2":
+        out = _series_terms(r / spec.beta, 2)
+    elif variant == "expectile":
+        out = _expectile_terms(r, spec.tau)
+    else:
+        out = _clipped_terms(r, spec.beta, spec.clip, pointwise=True)
+    return _like_input(out, residuals)
 
 
 def loss_grads(spec: LossSpec, residuals):
     """Per-sample gradients with respect to the prediction for any spec.
 
-    Batch-coupled for the clipped variant (shared maximum over the given
-    residuals), independent per sample for every other variant.
+    Takes finite residuals with the batch on the last axis.  Batch-coupled
+    for the clipped variant (each batch shares its maximum), independent per
+    sample for every other variant.
     """
-    if spec.variant == "gumbel":
-        return gumbel_loss_grad(residuals, spec.beta)
-    if spec.variant == "expanded_gumbel":
-        return expanded_gumbel_loss_grad(residuals, spec.beta, spec.order)
-    if spec.variant == "l2":
-        return expanded_gumbel_loss_grad(residuals, spec.beta, 2)
-    if spec.variant == "expectile":
-        return expectile_loss_grad(residuals, spec.tau)
-    return clipped_gumbel_loss_grad(residuals, spec.beta, spec.clip)
+    r = np.asarray(residuals, dtype=float)
+    variant = spec.variant
+    if variant == "gumbel":
+        out = _gumbel_grads(r / spec.beta, spec.beta)
+    elif variant == "expanded_gumbel":
+        out = _series_grads(r / spec.beta, spec.beta, spec.order)
+    elif variant == "l2":
+        out = _series_grads(r / spec.beta, spec.beta, 2)
+    elif variant == "expectile":
+        out = _expectile_grads(r, spec.tau)
+    else:
+        return _clipped_grads(np.atleast_1d(r), spec.beta, spec.clip)
+    return _like_input(out, residuals)
 
 
 def loss_curve(spec: LossSpec, grid) -> np.ndarray:

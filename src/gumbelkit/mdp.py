@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,10 +93,33 @@ class DatasetCounts:
     mean_reward: np.ndarray
     reward_sq_dev: float
 
-    @property
+    # derived once per summary and shared by every step of a fit, so read-only
+
+    @cached_property
     def pair_counts(self) -> np.ndarray:
         """(S, A) visit counts."""
-        return self.visits.sum(axis=2)
+        return _read_only(self.visits.sum(axis=2))
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """(S, A) mask of the pairs with at least one row."""
+        return _read_only(self.pair_counts > 0)
+
+    @cached_property
+    def pair_states(self) -> np.ndarray:
+        """State of each observed pair, in row-major pair order."""
+        return _read_only(np.nonzero(self.observed)[0])
+
+    @cached_property
+    def pair_weights(self) -> np.ndarray:
+        """Each observed pair's share of the rows of its state."""
+        state_counts = self.pair_counts.sum(axis=1)
+        return _read_only(self.pair_counts[self.observed] / state_counts[self.pair_states])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)

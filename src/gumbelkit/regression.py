@@ -193,66 +193,109 @@ def _shared_data(config: RegressionConfig) -> np.ndarray:
     )
 
 
+# steps of batch indices each live repeat draws at a time: enough to amortize
+# the draw call, small enough that a cell holds only a slice of its index stream
+_DRAW_CHUNK = 100
+
+
+def _run_repeats(
+    config: RegressionConfig, repeats: list[int], shared: np.ndarray | None
+) -> list[RepeatResult]:
+    """SGD runs of the given repeats, stepped together as rows of (rows, batch) arrays.
+
+    Each row draws its data and then its batch indices from its own stream, and
+    the batch is the last array axis, so a row computes exactly what it would
+    compute alone.  A row stops at its first divergence and leaves the live
+    set; the loop ends once no row is live.
+    """
+    rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in repeats]
+    count, n = len(rngs), config.n_data
+    if config.resample_data:
+        pool = np.empty((count, n))
+        for row, rng in zip(pool, rngs):
+            row[:] = generate_data(config.beta_data, n, rng)
+        source = np.arange(count)              # pool row each repeat reads
+    else:
+        pool = (_shared_data(config) if shared is None else shared)[None, :]
+        source = np.zeros(count, dtype=int)
+    targets = np.array([target_value(pool[s], config.beta_reg, config.target) for s in source])
+    bounds = np.array([_escape_bound(config, pool[s]) for s in source])
+    flat = pool.ravel()
+
+    total = config.checkpoints[-1]
+    cp_index = {cp: k for k, cp in enumerate(config.checkpoints)}
+    errors = np.full((count, len(config.checkpoints)), np.nan)
+    final_h = np.full(count, float(config.init_h))
+    diverged_at: list[int | None] = [None] * count
+    # the live rows, in order, with their estimates, targets and bounds
+    live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, total, _DRAW_CHUNK):
+            if live.size == 0:
+                break
+            span = min(_DRAW_CHUNK, total - done)
+            picks = np.stack(
+                [rngs[i].integers(0, n, size=(span, config.batch_size)) for i in live]
+            )
+            picks += (source[live] * n)[:, None, None]
+            for j in range(span):
+                t = done + j + 1
+                residuals = flat[picks[:, j]] - h[:, None]
+                grads = loss_grads(config.loss, residuals)
+                losses = loss_values(config.loss, residuals)
+                step = grads.mean(axis=-1)
+                # a row with a non-finite gradient has a non-finite mean, so
+                # the step check covers the gradients
+                ok = (
+                    np.isfinite(residuals).all(axis=-1)
+                    & np.isfinite(losses).all(axis=-1)
+                    & np.isfinite(step)
+                )
+                # a row failing the checks above keeps its estimate; one that
+                # fails the checks below keeps its update
+                h = np.where(ok, h - config.lr * step, h)
+                alive = ok & np.isfinite(h) & (np.abs(h) <= bound)
+                if t in cp_index:
+                    errors[live[alive], cp_index[t]] = np.abs(h - target)[alive]
+                if not alive.all():
+                    dead = ~alive
+                    final_h[live[dead]] = h[dead]
+                    for i in live[dead]:
+                        diverged_at[i] = t
+                    live, h, target, bound = live[alive], h[alive], target[alive], bound[alive]
+                    picks = picks[alive]
+                    if live.size == 0:
+                        break
+    final_h[live] = h
+    return [
+        RepeatResult(
+            errors=errors[i],
+            diverged=diverged_at[i] is not None,
+            diverged_at=diverged_at[i],
+            target=float(targets[i]),
+            final_h=float(final_h[i]),
+        )
+        for i in range(count)
+    ]
+
+
 def run_repeat(
     config: RegressionConfig, repeat_index: int, data: np.ndarray | None = None
 ) -> RepeatResult:
     """One SGD run: batches with replacement, one step per update.
 
     Checkpoint entries record |h - target|; after a divergence the remaining
-    entries stay NaN (missing, not infinite).
+    entries stay NaN (missing, not infinite).  ``data`` is the shared dataset
+    and is read only when the config does not resample per repeat.
     """
-    rng = stream(config.master_seed, *config.stream_key, 1 + repeat_index)
-    if config.resample_data:
-        data = generate_data(config.beta_data, config.n_data, rng)
-    elif data is None:
-        data = _shared_data(config)
-    target = target_value(data, config.beta_reg, config.target)
-    bound = _escape_bound(config, data)
-
-    total = config.checkpoints[-1]
-    cp_index = {cp: i for i, cp in enumerate(config.checkpoints)}
-    errors = np.full(len(config.checkpoints), np.nan)
-    batches = rng.integers(0, config.n_data, size=(total, config.batch_size))
-
-    h = config.init_h
-    diverged_at = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, total + 1):
-            residuals = data[batches[t - 1]] - h
-            if not np.all(np.isfinite(residuals)):
-                diverged_at = t
-                break
-            grads = loss_grads(config.loss, residuals)
-            losses = loss_values(config.loss, residuals)
-            step = float(np.mean(grads))
-            finite = (
-                math.isfinite(step)
-                and bool(np.all(np.isfinite(grads)))
-                and bool(np.all(np.isfinite(np.atleast_1d(losses))))
-            )
-            if not finite:
-                diverged_at = t
-                break
-            h = h - config.lr * step
-            if not math.isfinite(h) or abs(h) > bound:
-                diverged_at = t
-                break
-            if t in cp_index:
-                errors[cp_index[t]] = abs(h - target)
-    return RepeatResult(
-        errors=errors,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        target=target,
-        final_h=h,
-    )
+    return _run_repeats(config, [repeat_index], data)[0]
 
 
 def run_cell(config: RegressionConfig) -> RegressionTrace:
-    """All repeats of one cell, aggregated."""
-    shared = None if config.resample_data else _shared_data(config)
-    results = [run_repeat(config, i, data=shared) for i in range(config.repeats)]
-    return RegressionTrace(config=config, repeats=results)
+    """All repeats of one cell, stepped together and aggregated."""
+    return RegressionTrace(
+        config=config, repeats=_run_repeats(config, list(range(config.repeats)), None)
+    )
 
 
 def run_experiment(

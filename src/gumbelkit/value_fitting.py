@@ -128,19 +128,14 @@ def v_step(
     the weighted mean of Q(s, .).
     """
     s_count = q.shape[0]
-    pair_counts = counts.pair_counts
-    state_counts = pair_counts.sum(axis=1)
-    present = pair_counts > 0
-    rows = np.nonzero(present)[0]          # state of each observed pair, ascending
-    weights = pair_counts[present] / state_counts[rows]
-    q_seen = q[present]
+    rows, weights = counts.pair_states, counts.pair_weights
+    q_seen = q[counts.observed]
     v_new = v.astype(float).copy()
     if mode == "closed_form_n2":
         if not _is_squared(loss):
             raise ValueError("closed_form_n2 requires the squared loss")
         means = np.bincount(rows, weights=weights * q_seen, minlength=s_count)
-        seen = state_counts > 0
-        v_new[seen] = means[seen]
+        v_new[rows] = means[rows]
         return v_new
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
@@ -181,10 +176,9 @@ def q_step(
     steps: int = 1,
 ) -> np.ndarray:
     """Update Q toward the dataset mean of r + gamma V(s'); absent pairs are untouched."""
-    pair_counts = counts.pair_counts
-    present = pair_counts > 0
+    present = counts.observed
     sums = np.sum(counts.visits * (counts.mean_reward + gamma * v), axis=2)
-    means = sums / np.maximum(pair_counts, 1.0)
+    means = sums / np.maximum(counts.pair_counts, 1.0)
     q_new = q.astype(float).copy()
     if mode == "closed_form":
         q_new[present] = means[present]
@@ -221,8 +215,8 @@ def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> Valu
     """
     s_count, a_count = mdp.num_states, mdp.num_actions
     counts = dataset.counts(s_count, a_count)
-    pair_counts = counts.pair_counts
-    present = pair_counts > 0
+    present = counts.observed
+    seen_counts = counts.pair_counts[present]
     bound = _value_scale_bound(mdp, config.loss, config.escape_factor)
     v = np.zeros(s_count)
     q = np.zeros((s_count, a_count))
@@ -250,7 +244,7 @@ def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> Valu
             )
         change = float(np.max(np.abs(v_new - v)))
         residuals = (q - v_new[:, None])[present]
-        v_loss = _dataset_v_loss(config.loss, residuals, pair_counts[present])
+        v_loss = _dataset_v_loss(config.loss, residuals, seen_counts)
         # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the within-cell spread
         gaps = counts.mean_reward + mdp.gamma * v_new - q[:, :, None]
         q_loss = float((np.sum(counts.visits * gaps**2) + counts.reward_sq_dev) / len(dataset))

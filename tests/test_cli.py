@@ -129,6 +129,17 @@ class TestRegressCommand:
         assert "unknown config key(s) betaz" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_config_file_bad_value_names_key_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("loss = expanded\norder = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["regress", "--config", cfg, "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad value 'abc' for key order" in err
+        assert str(cfg) in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_expanded_requires_order(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(["regress", "--loss", "expanded", "--out", tmp_path / "x.csv"])

@@ -229,6 +229,31 @@ class TestLossSpec:
             assert loss_values(spec, 0.0) == 0.0
 
 
+class TestSpecDispatchOnBatches:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LossSpec.gumbel(2.0),
+            LossSpec.clipped(2.0, 3.0),
+            LossSpec.expanded(4, 2.0),
+            LossSpec.expanded(8, 2.0),
+            LossSpec.l2(2.0),
+            LossSpec.expectile(0.7),
+        ],
+        ids=lambda spec: f"{spec.variant}{spec.order or ''}",
+    )
+    def test_each_row_is_its_own_batch(self, spec):
+        # rows of different scales, one entirely below z = -1, so every clipped
+        # row has its own maximum and a shared one would change the results
+        noise = np.random.default_rng(5).normal(size=(4, 32))
+        batches = np.vstack([0.5 * noise[0], 2.0 * noise[1], 8.0 * noise[2], -4.0 - np.abs(noise[3])])
+        for fn in (loss_grads, loss_values):
+            whole = fn(spec, batches)
+            assert whole.shape == batches.shape
+            for row, got in zip(batches, whole):
+                np.testing.assert_array_equal(got, fn(spec, row))
+
+
 class TestLossCurve:
     def test_l2_curve(self):
         table = loss_curve(LossSpec.l2(), np.array([-1.0, 0.0, 1.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gumbelkit.losses import LossSpec
+from gumbelkit.losses import LossSpec, loss_grads, loss_values
 from gumbelkit.regression import (
     RegressionConfig,
     experiment_rows,
@@ -154,6 +155,95 @@ class TestRunRepeat:
     def test_resampled_targets_differ(self):
         config = cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0))
         assert run_repeat(config, 0).target != run_repeat(config, 1).target
+
+
+def reference_repeat(config, repeat_index):
+    """One repeat as a scalar loop, one batch per iteration: the loop that
+    run_cell's array loop must reproduce bit for bit."""
+    rng = stream(config.master_seed, *config.stream_key, 1 + repeat_index)
+    if config.resample_data:
+        data = generate_data(config.beta_data, config.n_data, rng)
+    else:
+        shared_rng = stream(config.master_seed, *config.stream_key, 0)
+        data = generate_data(config.beta_data, config.n_data, shared_rng)
+    target = target_value(data, config.beta_reg, config.target)
+    bound = math.inf
+    if config.escape_factor is not None:
+        scale = max(float(np.max(np.abs(data))), abs(config.init_h))
+        bound = config.escape_factor * (1.0 + scale)
+
+    total = config.checkpoints[-1]
+    cp_index = {cp: i for i, cp in enumerate(config.checkpoints)}
+    errors = np.full(len(config.checkpoints), np.nan)
+    batches = rng.integers(0, config.n_data, size=(total, config.batch_size))
+
+    h = config.init_h
+    diverged_at = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, total + 1):
+            residuals = data[batches[t - 1]] - h
+            if not np.all(np.isfinite(residuals)):
+                diverged_at = t
+                break
+            grads = loss_grads(config.loss, residuals)
+            losses = loss_values(config.loss, residuals)
+            step = float(np.mean(grads))
+            finite = (
+                math.isfinite(step)
+                and bool(np.all(np.isfinite(grads)))
+                and bool(np.all(np.isfinite(np.atleast_1d(losses))))
+            )
+            if not finite:
+                diverged_at = t
+                break
+            h = h - config.lr * step
+            if not math.isfinite(h) or abs(h) > bound:
+                diverged_at = t
+                break
+            if t in cp_index:
+                errors[cp_index[t]] = abs(h - target)
+    return errors, diverged_at, target, h
+
+
+ORACLE_LOSSES = {
+    "gumbel": LossSpec.gumbel,
+    "expanded4": lambda beta: LossSpec.expanded(4, beta=beta),
+    "expanded8": lambda beta: LossSpec.expanded(8, beta=beta),
+    "l2": LossSpec.l2,
+    "clipped": LossSpec.clipped,
+    "expectile": lambda beta: LossSpec.expectile(0.7),
+}
+
+
+def assert_matches_reference(result, reference):
+    errors, diverged_at, target, final_h = reference
+    np.testing.assert_array_equal(result.errors, errors)
+    assert result.diverged_at == diverged_at
+    assert result.diverged == (diverged_at is not None)
+    assert result.target == target
+    np.testing.assert_array_equal(result.final_h, final_h)
+
+
+class TestArrayLoopMatchesScalarLoop:
+    # (2, 0.5) under the order-4 loss loses repeats at different steps, some
+    # past the first chunk of drawn indices, while others run to the end
+    @pytest.mark.parametrize("cell", [(2.0, 2.0), (10.0, 0.5), (0.5, 10.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("loss", sorted(ORACLE_LOSSES))
+    def test_bit_identical_to_the_scalar_loop(self, loss, cell):
+        beta_data, beta_reg = cell
+        # 210 steps span three chunks of drawn batch indices
+        base = cell_config(
+            beta_data, beta_reg, ORACLE_LOSSES[loss](beta_reg),
+            n_data=300, repeats=5, checkpoints=(10, 100, 210), stream_key=(3,),
+        )
+        for config in (
+            base,
+            dataclasses.replace(base, resample_data=False),
+            dataclasses.replace(base, escape_factor=None),
+        ):
+            for i, result in enumerate(run_cell(config).repeats):
+                assert_matches_reference(result, reference_repeat(config, i))
+            assert_matches_reference(run_repeat(config, 3), reference_repeat(config, 3))
 
 
 class TestAggregation:

@@ -10,8 +10,6 @@ and the test flags it decisively.
 Run:  python demos/significance_testing.py
 """
 
-import numpy as np
-
 from gumbelkit import LossSpec, RegressionConfig, welch_t_test
 from gumbelkit.regression import run_cell
 
@@ -22,8 +20,7 @@ def final_errors(beta_data, beta_reg, spec, repeats=30, seed=555):
         repeats=repeats, master_seed=seed,
     )
     trace = run_cell(config)
-    errors = np.array([r.errors[-1] for r in trace.repeats if not r.diverged])
-    return errors, trace.diverged_count
+    return trace.errors[trace.diverged_at == 0, -1], trace.diverged_count
 
 
 print("matched cell (data 2, fit 2): the same setup under two independent seeds")

@@ -333,15 +333,17 @@ def _cmd_mdp_train(args, parser) -> int:
     lr_v = args.lr_v if args.lr_v is not None else 0.002 * args.beta * args.beta
     rows = []
     for spec in specs:
-        config = TrainConfig(
-            loss=spec,
-            v_steps=args.v_steps,
-            q_mode="closed_form",
-            v_mode="closed_form_n2" if args.mode == "closed" else "gradient",
-            lr_v=lr_v,
-            outer_iterations=args.outer,
-            tolerance=args.tol,
-        )
+        try:
+            config = TrainConfig(
+                loss=spec,
+                v_steps=args.v_steps,
+                v_mode="closed_form_n2" if args.mode == "closed" else "gradient",
+                lr_v=lr_v,
+                outer_iterations=args.outer,
+                tolerance=args.tol,
+            )
+        except ValueError as err:
+            parser.error(str(err))
         tables = train(mdp, dataset, config)
         order = "" if spec.order is None else spec.order
         for s in range(mdp.num_states):

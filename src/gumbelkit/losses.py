@@ -9,10 +9,11 @@ exponential, which couples the samples, so it is inherently a batch mean.
 The batch is the last axis: a (repeats, batch) array is that many batches,
 each with its own maximum.
 
-The standalone kernels check their parameters and that the residuals are
-finite.  :func:`loss_values` and :func:`loss_grads` trust their
-:class:`LossSpec`, whose parameters were checked when it was built, and take
-the residuals as finite: every caller in the package checks them first.
+Parameters are checked once, when a :class:`LossSpec` is built.  The
+standalone kernels build one from their arguments, check that the residuals
+are finite and dispatch through :func:`loss_values` or :func:`loss_grads`,
+which trust the spec and take the residuals as finite: every caller in the
+package checks them first.
 
 The exponential is evaluated in double precision.  When e**z overflows, the
 result is returned as an IEEE infinity instead of raising, so a training loop
@@ -110,11 +111,6 @@ class LossSpec:
         return cls("expectile", tau=tau)
 
 
-def _check_beta(beta: float) -> None:
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be a positive finite real, got {beta}")
-
-
 def _finite_array(values, name: str = "residual") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -126,8 +122,7 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
     return float(out) if np.ndim(template) == 0 else out
 
 
-# Unchecked kernels on float arrays, shared by the standalone kernels and the
-# spec dispatch.
+# Unchecked kernels on float arrays, behind the spec dispatch.
 
 def _gumbel_terms(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
@@ -195,8 +190,7 @@ def gumbel_loss(residual, beta: float):
     the prediction, linear on the other side.  Overflow of e**z is returned
     as +inf.
     """
-    _check_beta(beta)
-    return _like_input(_gumbel_terms(_finite_array(residual) / beta), residual)
+    return loss_values(LossSpec.gumbel(beta), _finite_array(residual))
 
 
 def gumbel_loss_grad(residual, beta: float):
@@ -205,8 +199,7 @@ def gumbel_loss_grad(residual, beta: float):
     Equals (1 - e**z) / beta; an overflowing e**z yields -inf, which is the
     mechanism by which mismatched-scale training blows up.
     """
-    _check_beta(beta)
-    return _like_input(_gumbel_grads(_finite_array(residual) / beta, beta), residual)
+    return loss_grads(LossSpec.gumbel(beta), _finite_array(residual))
 
 
 def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
@@ -217,13 +210,11 @@ def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
     e**(z_i - m) - z_i e**(-m) - e**(-m).  The shared maximum couples the
     samples, hence the mean is taken here and not by the caller.
     """
-    _check_beta(beta)
-    if not clip > 0:
-        raise ValueError(f"clip must be positive, got {clip}")
+    spec = LossSpec.clipped(beta, clip)
     arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss requires a nonempty batch")
-    return float(np.mean(_clipped_terms(arr, beta, clip)))
+    return float(np.mean(_clipped_terms(arr, spec.beta, spec.clip)))
 
 
 def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
@@ -232,18 +223,20 @@ def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
     The batch maximum is treated as a constant (it is detached in the
     defining procedure) and clamped samples carry zero gradient.
     """
-    _check_beta(beta)
-    if not clip > 0:
-        raise ValueError(f"clip must be positive, got {clip}")
+    spec = LossSpec.clipped(beta, clip)
     arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss_grad requires a nonempty batch")
-    return _clipped_grads(arr, beta, clip)
+    return loss_grads(spec, arr)
 
 
 @lru_cache(maxsize=None)
 def _recip_factorials(n: int) -> tuple[float, ...]:
-    return tuple(1.0 / math.factorial(j) for j in range(n + 1))
+    # 1.0 / j! up to 170!, the largest factorial a float holds; beyond it the
+    # exact int quotient, correctly rounded, underflows smoothly to 0.0
+    return tuple(
+        1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j) for j in range(n + 1)
+    )
 
 
 def expanded_gumbel_loss(residual, beta: float, order: int):
@@ -253,10 +246,7 @@ def expanded_gumbel_loss(residual, beta: float, order: int):
     large factorial or high power is formed on its own.  Even orders make the
     polynomial nonnegative everywhere; order 2 is exactly z**2 / 2.
     """
-    _check_beta(beta)
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    return _like_input(_series_terms(_finite_array(residual) / beta, order), residual)
+    return loss_values(LossSpec.expanded(order, beta), _finite_array(residual))
 
 
 def expanded_gumbel_loss_grad(residual, beta: float, order: int):
@@ -264,24 +254,17 @@ def expanded_gumbel_loss_grad(residual, beta: float, order: int):
 
     Equals -(1/beta) sum_{k=1..n-1} z**k / k!.
     """
-    _check_beta(beta)
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    return _like_input(_series_grads(_finite_array(residual) / beta, beta, order), residual)
+    return loss_grads(LossSpec.expanded(order, beta), _finite_array(residual))
 
 
 def expectile_loss(residual, tau: float):
     """Asymmetric squared loss |tau - 1[residual < 0]| * residual**2."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return _like_input(_expectile_terms(_finite_array(residual), tau), residual)
+    return loss_values(LossSpec.expectile(tau), _finite_array(residual))
 
 
 def expectile_loss_grad(residual, tau: float):
     """Derivative of :func:`expectile_loss` with respect to the prediction."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return _like_input(_expectile_grads(_finite_array(residual), tau), residual)
+    return loss_grads(LossSpec.expectile(tau), _finite_array(residual))
 
 
 def loss_values(spec: LossSpec, residuals):

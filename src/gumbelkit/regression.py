@@ -84,7 +84,7 @@ class RegressionConfig:
             raise ValueError(
                 f"loss.beta ({self.loss.beta}) must equal beta_reg ({self.beta_reg})"
             )
-        if self.n_data <= 0 or self.batch_size <= 0 or self.lr <= 0 or self.repeats <= 0:
+        if self.n_data <= 0 or self.batch_size <= 0 or not self.lr > 0 or self.repeats <= 0:
             raise ValueError("n_data, batch_size, lr, and repeats must be positive")
         if len(self.checkpoints) == 0 or any(
             b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])
@@ -100,7 +100,8 @@ class RegressionConfig:
 
 @dataclass(frozen=True)
 class RepeatResult:
-    """One repeat: per-checkpoint absolute errors (NaN past divergence)."""
+    """One repeat, a row of a :class:`RegressionTrace`: per-checkpoint
+    absolute errors (NaN past divergence)."""
 
     errors: np.ndarray
     diverged: bool
@@ -111,31 +112,49 @@ class RepeatResult:
 
 @dataclass
 class RegressionTrace:
-    """Aggregate over the repeats of one cell.
+    """The repeats of one cell as rows of arrays, with their aggregates.
 
-    Means and standard deviations are taken over the non-diverged repeats
-    only; a cell where every repeat diverged carries ``all_diverged`` and
-    NaN-free aggregates are simply absent (None).
+    ``errors`` (repeats, checkpoints) holds |h - target| per checkpoint, NaN
+    past a divergence.  ``diverged_at`` holds the update at which each repeat
+    diverged, counting from 1, or 0 for a survivor.  Means and standard
+    deviations are taken over the surviving rows only; with no survivor (mean)
+    or fewer than two (std) they are None.
     """
 
     config: RegressionConfig
-    repeats: list[RepeatResult]
-    mean_abs_error: np.ndarray | None = field(default=None)
-    std_abs_error: np.ndarray | None = field(default=None)
-    diverged_count: int = 0
+    errors: np.ndarray
+    diverged_at: np.ndarray
+    targets: np.ndarray
+    final_h: np.ndarray
+    mean_abs_error: np.ndarray | None = field(default=None, init=False)
+    std_abs_error: np.ndarray | None = field(default=None, init=False)
+    diverged_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        survivors = [r.errors for r in self.repeats if not r.diverged]
-        self.diverged_count = sum(r.diverged for r in self.repeats)
-        if survivors:
-            block = np.vstack(survivors)
-            self.mean_abs_error = block.mean(axis=0)
-            if block.shape[0] >= 2:
-                self.std_abs_error = block.std(axis=0, ddof=1)
+        survivors = self.errors[self.diverged_at == 0]
+        self.diverged_count = len(self.errors) - len(survivors)
+        if len(survivors) >= 1:
+            self.mean_abs_error = survivors.mean(axis=0)
+        if len(survivors) >= 2:
+            self.std_abs_error = survivors.std(axis=0, ddof=1)
 
     @property
     def all_diverged(self) -> bool:
-        return self.diverged_count == len(self.repeats)
+        return self.diverged_count == len(self.diverged_at)
+
+    @property
+    def repeats(self) -> list[RepeatResult]:
+        """One :class:`RepeatResult` per row, built on each access."""
+        return [
+            RepeatResult(
+                errors=self.errors[i],
+                diverged=bool(at),
+                diverged_at=int(at) if at else None,
+                target=float(self.targets[i]),
+                final_h=float(self.final_h[i]),
+            )
+            for i, at in enumerate(self.diverged_at)
+        ]
 
 
 @dataclass(frozen=True)
@@ -200,13 +219,14 @@ _DRAW_CHUNK = 100
 
 def _run_repeats(
     config: RegressionConfig, repeats: list[int], shared: np.ndarray | None
-) -> list[RepeatResult]:
+) -> RegressionTrace:
     """SGD runs of the given repeats, stepped together as rows of (rows, batch) arrays.
 
     Each row draws its data and then its batch indices from its own stream, and
     the batch is the last array axis, so a row computes exactly what it would
     compute alone.  A row stops at its first divergence and leaves the live
-    set; the loop ends once no row is live.
+    set; the loop ends once no row is live.  The trace has one row per given
+    repeat, in order.
     """
     rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in repeats]
     count, n = len(rngs), config.n_data
@@ -226,7 +246,7 @@ def _run_repeats(
     cp_index = {cp: k for k, cp in enumerate(config.checkpoints)}
     errors = np.full((count, len(config.checkpoints)), np.nan)
     final_h = np.full(count, float(config.init_h))
-    diverged_at: list[int | None] = [None] * count
+    diverged_at = np.zeros(count, dtype=int)
     # the live rows, in order, with their estimates, targets and bounds
     live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,23 +280,13 @@ def _run_repeats(
                 if not alive.all():
                     dead = ~alive
                     final_h[live[dead]] = h[dead]
-                    for i in live[dead]:
-                        diverged_at[i] = t
+                    diverged_at[live[dead]] = t
                     live, h, target, bound = live[alive], h[alive], target[alive], bound[alive]
                     picks = picks[alive]
                     if live.size == 0:
                         break
     final_h[live] = h
-    return [
-        RepeatResult(
-            errors=errors[i],
-            diverged=diverged_at[i] is not None,
-            diverged_at=diverged_at[i],
-            target=float(targets[i]),
-            final_h=float(final_h[i]),
-        )
-        for i in range(count)
-    ]
+    return RegressionTrace(config, errors, diverged_at, targets, final_h)
 
 
 def run_repeat(
@@ -288,14 +298,12 @@ def run_repeat(
     entries stay NaN (missing, not infinite).  ``data`` is the shared dataset
     and is read only when the config does not resample per repeat.
     """
-    return _run_repeats(config, [repeat_index], data)[0]
+    return _run_repeats(config, [repeat_index], data).repeats[0]
 
 
 def run_cell(config: RegressionConfig) -> RegressionTrace:
     """All repeats of one cell, stepped together and aggregated."""
-    return RegressionTrace(
-        config=config, repeats=_run_repeats(config, list(range(config.repeats)), None)
-    )
+    return _run_repeats(config, list(range(config.repeats)), None)
 
 
 def run_experiment(

@@ -1,11 +1,11 @@
 """In-sample tabular value learning on offline data.
 
 V is fitted against in-dataset Q targets under a chosen loss (residual
-Q(s,a) - V(s)), Q is fitted by least squares against r + gamma V(s'), and the
-two steps alternate to a fixed point.  With the squared loss the fixed point
-is the behavior value; with the exponential loss it is the soft optimal
-value; the series-truncated losses land in between, moving from the former
-to the latter as the order grows.
+Q(s,a) - V(s)), Q is set to its least-squares fit, the dataset mean of
+r + gamma V(s'), and the two steps alternate to a fixed point.  With the
+squared loss the fixed point is the behavior value; with the exponential loss
+it is the soft optimal value; the series-truncated losses land in between,
+moving from the former to the latter as the order grows.
 
 Divergence is reported when a table entry or gradient stops being finite or
 when an entry escapes the value scale implied by the rewards (see
@@ -52,34 +52,29 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Schedule and step sizes for the alternating fit.
 
-    q_mode ``closed_form`` sets Q(s,a) to the dataset mean of r + gamma V(s')
-    in one sweep; ``gradient`` takes lr_q steps on the squared error.
-    v_mode ``gradient`` runs v_steps descent steps per outer iteration;
+    Each outer iteration sets Q(s,a) to the dataset mean of r + gamma V(s')
+    in one sweep, then updates V.  v_mode ``gradient`` runs v_steps descent steps per outer iteration;
     ``closed_form_n2`` is the exact mean update, valid only when the loss is
     the squared one (order 2 or l2).
     """
 
     loss: LossSpec
     v_steps: int = 50
-    q_mode: str = "closed_form"
     v_mode: str = "gradient"
     lr_v: float = 0.02
-    lr_q: float = 0.5
     outer_iterations: int = 500
     tolerance: float = 1e-9
     escape_factor: float | None = 100.0
 
     def __post_init__(self) -> None:
-        if self.q_mode not in ("closed_form", "gradient"):
-            raise ValueError(f"q_mode must be 'closed_form' or 'gradient', got {self.q_mode!r}")
         if self.v_mode not in ("closed_form_n2", "gradient"):
             raise ValueError(f"v_mode must be 'closed_form_n2' or 'gradient', got {self.v_mode!r}")
         if self.v_mode == "closed_form_n2" and not _is_squared(self.loss):
             raise ValueError("closed_form_n2 requires the squared loss (l2 or order 2)")
         if min(self.v_steps, self.outer_iterations) <= 0:
             raise ValueError("v_steps and outer_iterations must be positive")
-        if min(self.lr_v, self.lr_q, self.tolerance) <= 0:
-            raise ValueError("lr_v, lr_q, and tolerance must be positive")
+        if not (self.lr_v > 0 and self.tolerance > 0):
+            raise ValueError("lr_v and tolerance must be positive")
         if self.escape_factor is not None and not self.escape_factor > 0:
             raise ValueError("escape_factor must be positive or None")
 
@@ -171,23 +166,13 @@ def q_step(
     v: np.ndarray,
     counts: DatasetCounts,
     gamma: float,
-    mode: str = "closed_form",
-    lr: float = 0.5,
-    steps: int = 1,
 ) -> np.ndarray:
-    """Update Q toward the dataset mean of r + gamma V(s'); absent pairs are untouched."""
+    """Set Q to the dataset mean of r + gamma V(s'); absent pairs are untouched."""
     present = counts.observed
     sums = np.sum(counts.visits * (counts.mean_reward + gamma * v), axis=2)
     means = sums / np.maximum(counts.pair_counts, 1.0)
     q_new = q.astype(float).copy()
-    if mode == "closed_form":
-        q_new[present] = means[present]
-        return q_new
-    if mode != "gradient":
-        raise ValueError(f"unknown q_step mode {mode!r}")
-    for _ in range(steps):
-        grad = 2.0 * (q_new - means)
-        q_new = np.where(present, q_new - lr * grad, q_new)
+    q_new[present] = means[present]
     return q_new
 
 
@@ -223,7 +208,7 @@ def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> Valu
     trace: list[IterationRecord] = []
     for it in range(1, config.outer_iterations + 1):
         try:
-            q = q_step(q, v, counts, mdp.gamma, mode=config.q_mode, lr=config.lr_q, steps=1)
+            q = q_step(q, v, counts, mdp.gamma)
             v_new = v_step(
                 v, q, counts, config.loss, config.lr_v, config.v_steps, mode=config.v_mode
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gumbelkit.cli import main
+from gumbelkit.cli import build_parser, main
 
 
 def run_cli(args):
@@ -192,6 +192,26 @@ class TestMdpTrainCommand:
         assert run_cli(["mdp-train", "--mdp", path, "--orders", "2", "--mode", "closed",
                         "--out", out]) == 0
         assert read_rows(out)[0]["mdp"] == "bandit1"
+
+
+class TestBadRates:
+    @pytest.mark.parametrize("args", (
+        ["regress", "--repeats", "2", "--lr", "nan"],
+        ["mdp-train", "--mdp", "bandit1", "--lr-v", "nan"],
+    ))
+    def test_nan_rate_is_a_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # argparse's usage, then the one error line
+        usage = build_parser().format_usage()
+        assert err.startswith(usage)
+        lines = err[len(usage):].splitlines()
+        assert len(lines) == 1 and "must be positive" in lines[0]
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -152,6 +152,13 @@ class TestExpandedGumbelLoss:
         got = expanded_gumbel_loss(residual, beta, 2)
         assert abs(got - expected) <= 1e-15 * max(1.0, expected)
 
+    def test_order_past_the_float_factorials_matches_the_exponential(self):
+        # 171! and above overflow a float; their reciprocals must not
+        z = np.linspace(-3.0, 3.0, 601)
+        spec = LossSpec.expanded(200)
+        np.testing.assert_allclose(loss_values(spec, z), np.expm1(z) - z, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(loss_grads(spec, z), -np.expm1(z), rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("order", (2, 4, 8, 12, 16))
     def test_taylor_remainder_bound(self, order):
         # |T_n(z) - (e^z - z - 1)| <= |z|**(n+1) e**|z| / (n+1)!

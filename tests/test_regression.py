@@ -224,6 +224,29 @@ def assert_matches_reference(result, reference):
     np.testing.assert_array_equal(result.final_h, final_h)
 
 
+def assert_trace_rows_match(trace, references):
+    """The trace's arrays row by row, and its aggregates against a stack of the
+    surviving reference rows, bit for bit."""
+    assert trace.errors.shape == (len(references), len(trace.config.checkpoints))
+    for i, (errors, diverged_at, target, final_h) in enumerate(references):
+        np.testing.assert_array_equal(trace.errors[i], errors)
+        assert trace.diverged_at[i] == (0 if diverged_at is None else diverged_at)
+        assert trace.targets[i] == target
+        assert trace.final_h[i] == final_h
+    survivors = [errors for errors, diverged_at, _, _ in references if diverged_at is None]
+    assert trace.diverged_count == len(references) - len(survivors)
+    if survivors:
+        np.testing.assert_array_equal(trace.mean_abs_error, np.vstack(survivors).mean(axis=0))
+    else:
+        assert trace.mean_abs_error is None
+    if len(survivors) >= 2:
+        np.testing.assert_array_equal(
+            trace.std_abs_error, np.vstack(survivors).std(axis=0, ddof=1)
+        )
+    else:
+        assert trace.std_abs_error is None
+
+
 class TestArrayLoopMatchesScalarLoop:
     # (2, 0.5) under the order-4 loss loses repeats at different steps, some
     # past the first chunk of drawn indices, while others run to the end
@@ -241,9 +264,12 @@ class TestArrayLoopMatchesScalarLoop:
             dataclasses.replace(base, resample_data=False),
             dataclasses.replace(base, escape_factor=None),
         ):
-            for i, result in enumerate(run_cell(config).repeats):
-                assert_matches_reference(result, reference_repeat(config, i))
-            assert_matches_reference(run_repeat(config, 3), reference_repeat(config, 3))
+            trace = run_cell(config)
+            references = [reference_repeat(config, i) for i in range(config.repeats)]
+            for i, result in enumerate(trace.repeats):
+                assert_matches_reference(result, references[i])
+            assert_trace_rows_match(trace, references)
+            assert_matches_reference(run_repeat(config, 3), references[3])
 
 
 class TestAggregation:
@@ -350,5 +376,6 @@ class TestConfigValidation:
             cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), target="caption")
 
     def test_positive_counts_enforced(self):
-        with pytest.raises(ValueError):
-            cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), repeats=0)
+        for override in (dict(repeats=0), dict(lr=0.0), dict(lr=math.nan)):
+            with pytest.raises(ValueError):
+                cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), **override)

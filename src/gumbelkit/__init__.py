@@ -62,7 +62,15 @@ from .stats import (
     t_test_from_summary,
     welch_t_test,
 )
-from .value_fitting import DivergenceError, TrainConfig, ValueTables, q_step, train, v_step
+from .value_fitting import (
+    DivergenceError,
+    TrainConfig,
+    ValueTables,
+    q_step,
+    train,
+    train_many,
+    v_step,
+)
 
 __version__ = "0.1.0"
 
@@ -117,5 +125,6 @@ __all__ = [
     "ValueTables",
     "q_step",
     "train",
+    "train_many",
     "v_step",
 ]

@@ -33,7 +33,7 @@ from .regression import (
 )
 from .rng import stream
 from .stats import t_test_from_summary
-from .value_fitting import TrainConfig, train
+from .value_fitting import TrainConfig, train_many
 
 DEFAULT_SEED = 20_240_214
 
@@ -147,8 +147,12 @@ def _build_spec(parser, variant_alias: str, beta: float, order: int | None,
 
 def _loss_specs(args, parser, task: str) -> list[LossSpec]:
     """The expanded losses named by --orders, then the variants named by --include."""
+    # checked here too: --beta also sets the soft oracle, and expectile ignores it
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        parser.error(f"beta must be a positive finite real, got {args.beta}")
     include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
-    specs = [LossSpec.expanded(n, beta=args.beta) for n in _parse_orders(args.orders, parser)]
+    specs = [_build_spec(parser, "expanded", args.beta, n, args.clip, args.tau)
+             for n in _parse_orders(args.orders, parser)]
     specs += [_build_spec(parser, alias, args.beta, None, args.clip, args.tau) for alias in include]
     if not specs:
         parser.error(f"nothing to {task}: give --orders and/or --include")
@@ -258,6 +262,8 @@ def _regress_settings(args, parser) -> dict:
 def _cmd_regress(args, parser) -> int:
     cfg = _regress_settings(args, parser)
     beta_list = tuple(_parse_floats(cfg["betas"], parser, "betas")) if cfg["betas"] else DEFAULT_BETAS
+    if not all(math.isfinite(b) and b > 0 for b in beta_list):
+        parser.error(f"betas must be positive finite reals, got {cfg['betas']!r}")
     escape_raw = cfg["escape_factor"]
     escape = None if str(escape_raw).lower() == "none" else float(escape_raw)
 
@@ -331,10 +337,9 @@ def _cmd_mdp_train(args, parser) -> int:
     v_mu = behavior_value(mdp)
     v_soft, _ = soft_value(mdp, beta=args.beta)
     lr_v = args.lr_v if args.lr_v is not None else 0.002 * args.beta * args.beta
-    rows = []
-    for spec in specs:
-        try:
-            config = TrainConfig(
+    try:
+        configs = [
+            TrainConfig(
                 loss=spec,
                 v_steps=args.v_steps,
                 v_mode="closed_form_n2" if args.mode == "closed" else "gradient",
@@ -342,9 +347,12 @@ def _cmd_mdp_train(args, parser) -> int:
                 outer_iterations=args.outer,
                 tolerance=args.tol,
             )
-        except ValueError as err:
-            parser.error(str(err))
-        tables = train(mdp, dataset, config)
+            for spec in specs
+        ]
+    except ValueError as err:
+        parser.error(str(err))
+    rows = []
+    for spec, tables in zip(specs, train_many(mdp, dataset, configs)):
         order = "" if spec.order is None else spec.order
         for s in range(mdp.num_states):
             rows.append(

@@ -175,6 +175,76 @@ def _series_grads(z: np.ndarray, beta: float, order: int) -> np.ndarray:
         return -acc / beta
 
 
+def _series_grads_rows(z: np.ndarray, beta: np.ndarray, coeffs: list[np.ndarray]) -> np.ndarray:
+    # _series_grads for rows of different orders: coeffs[j] holds each row's
+    # 1 / j!, or zero above the row's own order - 1.  A zero leading
+    # coefficient keeps acc at +-0 until the row's top term, where
+    # (+-0 + c) * z == c * z, so each row matches _series_grads bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = coeffs[-1] * z
+        for c in coeffs[-2:0:-1]:
+            acc += c
+            acc *= z
+        acc /= beta
+        return np.negative(acc, out=acc)
+
+
+def _group_kernel(variant: str, specs: list[LossSpec], batch: int):
+    """One gradient function for the rows of one kernel, on (rows, batch) residuals.
+
+    Parameters are spread to the full (rows, batch) shape up front: numpy
+    dispatches same-shape operands faster than broadcast ones.
+    """
+    def full(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=float)[:, None], batch, axis=1)
+
+    beta = full([spec.beta for spec in specs])
+    if variant == "gumbel":
+        return lambda r: _gumbel_grads(r / beta, beta)
+    if variant == "clipped_gumbel":
+        clip = full([spec.clip for spec in specs])
+        return lambda r: _clipped_grads(r, beta, clip)
+    if variant == "expectile":
+        tau = full([spec.tau for spec in specs])
+        return lambda r: _expectile_grads(r, tau)
+    tops = [(spec.order or 2) - 1 for spec in specs]
+    table = np.zeros((max(tops) + 1, len(specs), 1))
+    for row, top in enumerate(tops):
+        table[: top + 1, row, 0] = _recip_factorials(top)
+    coeffs = list(np.repeat(table, batch, axis=2))
+    return lambda r: _series_grads_rows(r / beta, beta, coeffs)
+
+
+def _row_grads(specs: list[LossSpec], batch: int):
+    """Gradient function for (rows, batch) residuals whose row i is under specs[i].
+
+    Rows that share a kernel are evaluated in one call per group; the series
+    variants (expanded and l2) share one Horner pass up to their highest
+    order.  Each row equals ``loss_grads(specs[i], residuals[i])`` bit for
+    bit wherever residual / beta is finite; where it overflows, both are
+    non-finite.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
+        groups.setdefault(key, []).append(i)
+    parts = []
+    for key, members in groups.items():
+        contiguous = members[-1] - members[0] + 1 == len(members)
+        rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
+        parts.append((rows, _group_kernel(key, [specs[i] for i in members], batch)))
+    if len(parts) == 1:
+        return parts[0][1]
+
+    def grads(residuals: np.ndarray) -> np.ndarray:
+        out = np.empty_like(residuals)
+        for rows, kernel in parts:
+            out[rows] = kernel(residuals[rows])
+        return out
+
+    return grads
+
+
 def _expectile_terms(r: np.ndarray, tau: float) -> np.ndarray:
     return np.where(r < 0, 1.0 - tau, tau) * r * r
 

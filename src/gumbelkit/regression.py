@@ -84,8 +84,10 @@ class RegressionConfig:
             raise ValueError(
                 f"loss.beta ({self.loss.beta}) must equal beta_reg ({self.beta_reg})"
             )
-        if self.n_data <= 0 or self.batch_size <= 0 or not self.lr > 0 or self.repeats <= 0:
-            raise ValueError("n_data, batch_size, lr, and repeats must be positive")
+        if self.n_data <= 0 or self.batch_size <= 0 or self.repeats <= 0:
+            raise ValueError("n_data, batch_size, and repeats must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
         if len(self.checkpoints) == 0 or any(
             b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])
         ):
@@ -94,8 +96,10 @@ class RegressionConfig:
             raise ValueError("checkpoints must be positive update counts")
         if self.target not in ("minimizer", "logsumexp"):
             raise ValueError(f"target must be 'minimizer' or 'logsumexp', got {self.target!r}")
-        if self.escape_factor is not None and not self.escape_factor > 0:
-            raise ValueError("escape_factor must be positive or None")
+        if self.escape_factor is not None and not (
+            math.isfinite(self.escape_factor) and self.escape_factor > 0
+        ):
+            raise ValueError("escape_factor must be positive and finite, or None")
 
 
 @dataclass(frozen=True)

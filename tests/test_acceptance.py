@@ -38,7 +38,7 @@ from gumbelkit.regression import (
     target_value,
 )
 from gumbelkit.rng import stream
-from gumbelkit.value_fitting import TrainConfig, train
+from gumbelkit.value_fitting import TrainConfig, train, train_many
 
 ACCEPTANCE_SEED = 2024
 EULER_MASCHERONI = 0.5772156649015329
@@ -225,8 +225,7 @@ def test_criterion_7_value_fitting_endpoints():
         ok = ok and out2.converged and gap2 < 1e-6
 
         gaps = []
-        for order in (4, 8, 12, 20):
-            out = train(mdp, data, _sweep_config(order, 1.0))
+        for out in train_many(mdp, data, [_sweep_config(order, 1.0) for order in (4, 8, 12, 20)]):
             ok = ok and out.converged and not out.diverged
             gaps.append(float(np.max(np.abs(out.v - v_star))))
         ok = ok and all(a >= b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-2
@@ -247,8 +246,8 @@ def test_criterion_8_values_ordered_between_the_oracles():
         v_mu = behavior_value(mdp)
         for beta in (0.5, 1.0, 2.0):
             v_star, _ = soft_value(mdp, beta=beta)
-            for order in (2, 4, 8, 12, 20):
-                out = train(mdp, data, _sweep_config(order, beta))
+            sweep = [_sweep_config(order, beta) for order in (2, 4, 8, 12, 20)]
+            for out in train_many(mdp, data, sweep):
                 ok = ok and out.converged and not out.diverged
                 worst_low = max(worst_low, float(np.max(v_mu - out.v)))
                 worst_high = max(worst_high, float(np.max(out.v - v_star)))

@@ -194,24 +194,48 @@ class TestMdpTrainCommand:
         assert read_rows(out)[0]["mdp"] == "bandit1"
 
 
+def assert_usage_error(args, out, capsys, message):
+    """The run exits 2 with argparse's usage and one error line, no traceback, no CSV."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    usage = build_parser().format_usage()
+    assert err.startswith(usage)
+    lines = err[len(usage):].splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert not out.exists()
+
+
 class TestBadRates:
     @pytest.mark.parametrize("args", (
         ["regress", "--repeats", "2", "--lr", "nan"],
         ["mdp-train", "--mdp", "bandit1", "--lr-v", "nan"],
     ))
     def test_nan_rate_is_a_usage_error(self, tmp_path, capsys, args):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args + ["--out", out])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        # argparse's usage, then the one error line
-        usage = build_parser().format_usage()
-        assert err.startswith(usage)
-        lines = err[len(usage):].splitlines()
-        assert len(lines) == 1 and "must be positive" in lines[0]
-        assert not out.exists()
+        assert_usage_error(args, tmp_path / "x.csv", capsys, "must be positive")
+
+    @pytest.mark.parametrize("args", (
+        ["mdp-train", "--mdp", "bandit1", "--orders", "4", "--tol", "inf"],
+        ["mdp-train", "--mdp", "bandit1", "--lr-v", "inf"],
+        ["regress", "--lr", "inf", "--repeats", "2", "--betas", "1"],
+    ))
+    def test_infinite_rate_or_tolerance_is_a_usage_error(self, tmp_path, capsys, args):
+        assert_usage_error(args, tmp_path / "x.csv", capsys, "must be positive and finite")
+
+
+class TestBadLossParameters:
+    @pytest.mark.parametrize("beta", ("-1", "0", "inf", "nan"))
+    @pytest.mark.parametrize("command", (
+        ["loss-curve", "--beta"],
+        ["err-dist", "--beta"],
+        ["mdp-train", "--mdp", "bandit1", "--beta"],
+        ["mdp-train", "--mdp", "bandit1", "--orders", "", "--include", "expectile", "--beta"],
+        ["regress", "--repeats", "2", "--betas"],
+    ), ids=("loss-curve", "err-dist", "mdp-train", "mdp-train-expectile", "regress"))
+    def test_bad_beta_is_a_usage_error(self, tmp_path, capsys, command, beta):
+        assert_usage_error(command + [beta], tmp_path / "x.csv", capsys, "beta")
 
 
 class TestCompareCommand:

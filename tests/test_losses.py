@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gumbelkit.losses import (
     LossSpec,
+    _row_grads,
     clipped_gumbel_loss,
     clipped_gumbel_loss_grad,
     expanded_gumbel_loss,
@@ -259,6 +260,25 @@ class TestSpecDispatchOnBatches:
             assert whole.shape == batches.shape
             for row, got in zip(batches, whole):
                 np.testing.assert_array_equal(got, fn(spec, row))
+
+
+class TestRowGrads:
+    def test_each_row_matches_the_scalar_spec_path(self):
+        specs = [LossSpec.expanded(n, beta) for n in (2, 4, 8, 12, 20, 200) for beta in (0.5, 2.0)]
+        specs += [LossSpec.l2(0.7), LossSpec.gumbel(0.5), LossSpec.gumbel(3.0),
+                  LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0), LossSpec.expectile(0.3)]
+        # interleaved, so each kernel's rows are scattered through the stack
+        order = np.random.default_rng(11).permutation(len(specs))
+        specs = [specs[i] for i in order]
+        # signed zeros, subnormals, the far tails and overflow, plus per-row noise
+        edges = [-0.0, 0.0, 5e-324, -5e-324, -800.0, 800.0, 1e200, -1e200]
+        noise = np.random.default_rng(12).normal(scale=5.0, size=(len(specs), 40))
+        residuals = np.hstack([np.tile(edges, (len(specs), 1)), noise])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _row_grads(specs, residuals.shape[1])(residuals)
+            for spec, row, out in zip(specs, residuals, got):
+                want = loss_grads(spec, row)
+                assert out.tobytes() == want.tobytes(), spec
 
 
 class TestLossCurve:

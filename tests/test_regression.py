@@ -376,6 +376,7 @@ class TestConfigValidation:
             cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), target="caption")
 
     def test_positive_counts_enforced(self):
-        for override in (dict(repeats=0), dict(lr=0.0), dict(lr=math.nan)):
+        for override in (dict(repeats=0), dict(lr=0.0), dict(lr=math.nan), dict(lr=math.inf),
+                         dict(escape_factor=math.inf)):
             with pytest.raises(ValueError):
                 cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), **override)

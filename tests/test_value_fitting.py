@@ -8,7 +8,7 @@ from scipy import optimize
 from gumbelkit.losses import LossSpec, clipped_gumbel_loss, expanded_gumbel_loss
 from gumbelkit.mdp import TabularMdp, behavior_value, generate_dataset, soft_value, zoo
 from gumbelkit.rng import stream
-from gumbelkit.value_fitting import TrainConfig, q_step, train, v_step
+from gumbelkit.value_fitting import TrainConfig, ValueTables, q_step, train, train_many, v_step
 
 EXACT_SIZES = {"bandit1": 400, "chain3": 1200, "risky5": 2000}
 
@@ -246,7 +246,83 @@ class TestConfigValidation:
             TrainConfig(loss=LossSpec.gumbel(), v_mode="closed_form_n2")
 
     def test_positive_rates(self):
-        for field in ("lr_v", "tolerance"):
-            for value in (0.0, math.nan):
+        for field in ("lr_v", "tolerance", "escape_factor"):
+            for value in (0.0, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     TrainConfig(loss=LossSpec.l2(), **{field: value})
+
+
+def every_variant(beta):
+    return [LossSpec.expanded(n, beta=beta) for n in (2, 4, 8, 12, 20)] + [
+        LossSpec.l2(beta=beta), LossSpec.gumbel(beta=beta), LossSpec.clipped(beta=beta),
+        LossSpec.expectile(0.7)]
+
+
+def assert_same_tables(got: ValueTables, want: ValueTables) -> None:
+    """Every field equal bit for bit: arrays by their bytes, the rest by repr."""
+    for f in dataclasses.fields(ValueTables):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("name", ("bandit1", "chain3", "risky5"))
+    def test_stack_of_every_variant_matches_solo_fits(self, name):
+        mdp = zoo(name)
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES[name])
+        configs = [
+            TrainConfig(loss=spec, v_steps=20, lr_v=0.01 * beta * beta, outer_iterations=100,
+                        tolerance=1e-3)
+            for beta in (0.5, 2.0) for spec in every_variant(beta)
+        ]
+        stacked = train_many(mdp, data, configs)
+        # rows leave at different iterations, so the compaction is exercised
+        assert len({out.iterations for out in stacked}) > 1
+        for out, config in zip(stacked, configs):
+            assert_same_tables(out, train(mdp, data, config))
+
+    def test_closed_form_stack_matches_solo_fits(self):
+        mdp = zoo("chain3")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["chain3"])
+        configs = [TrainConfig(loss=spec, v_mode="closed_form_n2", outer_iterations=300,
+                               tolerance=1e-12)
+                   for spec in (LossSpec.expanded(2, beta=1.0), LossSpec.l2(beta=0.5))]
+        for out, config in zip(train_many(mdp, data, configs), configs):
+            assert out.converged
+            assert_same_tables(out, train(mdp, data, config))
+
+    def test_diverging_rows_leave_their_neighbours_alone(self):
+        mdp = two_q_bandit((0.0, 5.0))
+        data = generate_dataset(mdp, "exhaustive", 100)
+        shared = dict(v_steps=200, outer_iterations=300, tolerance=1e-10)
+        configs = [
+            # escapes the value-scale bound after its first step
+            TrainConfig(loss=LossSpec.gumbel(beta=0.05), lr_v=2e-7, **shared),
+            # its gradient overflows inside v_step, which the stack then redoes without it
+            TrainConfig(loss=LossSpec.expanded(8, beta=0.3), lr_v=3.0, **shared),
+            TrainConfig(loss=LossSpec.expanded(4, beta=0.05), lr_v=2e-7, **shared),
+        ]
+        stacked = train_many(mdp, data, configs)
+        assert [out.diverged for out in stacked] == [True, True, False]
+        assert stacked[0].divergence_note.startswith("table entries went beyond")
+        assert stacked[1].divergence_note.startswith("non-finite gradient")
+        assert stacked[2].converged
+        for out, config in zip(stacked, configs):
+            assert_same_tables(out, train(mdp, data, config))
+
+    @pytest.mark.parametrize("field,value", (("v_steps", 20), ("v_mode", "closed_form_n2"),
+                                             ("outer_iterations", 10)))
+    def test_configs_must_share_the_loop_shape(self, field, value):
+        mdp = zoo("bandit1")
+        data = generate_dataset(mdp, "exhaustive", 400)
+        base = TrainConfig(loss=LossSpec.l2())
+        with pytest.raises(ValueError, match="share"):
+            train_many(mdp, data, [base, dataclasses.replace(base, **{field: value})])
+
+    def test_empty_stack_rejected(self):
+        mdp = zoo("bandit1")
+        with pytest.raises(ValueError):
+            train_many(mdp, generate_dataset(mdp, "exhaustive", 400), [])

@@ -63,7 +63,6 @@ from .stats import (
     welch_t_test,
 )
 from .value_fitting import (
-    DivergenceError,
     TrainConfig,
     ValueTables,
     q_step,
@@ -120,7 +119,6 @@ __all__ = [
     "summarize",
     "t_test_from_summary",
     "welch_t_test",
-    "DivergenceError",
     "TrainConfig",
     "ValueTables",
     "q_step",

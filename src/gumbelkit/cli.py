@@ -48,6 +48,22 @@ _LOSS_ALIASES = {
 }
 
 
+def _blank_none(value):
+    """A CSV or manifest cell: an unset (None) parameter is written empty."""
+    return "" if value is None else value
+
+
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -165,7 +181,7 @@ def _cmd_loss_curve(args, parser) -> int:
     rows = []
     for spec in specs:
         values = np.atleast_1d(loss_values(spec, grid))
-        order = "" if spec.order is None else spec.order
+        order = _blank_none(spec.order)
         for z, val in zip(grid.tolist(), values.tolist()):
             rows.append((spec.variant, order, args.beta, z, val))
     rows.sort(key=lambda r: (r[0], r[1] if r[1] != "" else -1, r[3]))
@@ -188,7 +204,7 @@ def _cmd_err_dist(args, parser) -> int:
     normalizers = {}
     for spec in specs:
         curve = implied_error_density(spec, grid)
-        order = "" if spec.order is None else spec.order
+        order = _blank_none(spec.order)
         integral = curve.trapezoid_integral()
         key = spec.variant if spec.order is None else f"{spec.variant}_{spec.order}"
         normalizers[f"normalizer.{key}"] = curve.normalizer
@@ -291,9 +307,9 @@ def _cmd_regress(args, parser) -> int:
     _write_manifest(
         args.out, "regress", args.seed,
         {
-            "loss": spec.variant, "order": "" if spec.order is None else spec.order,
-            "clip": "" if spec.clip is None else spec.clip,
-            "tau": "" if spec.tau is None else spec.tau,
+            "loss": spec.variant, "order": _blank_none(spec.order),
+            "clip": _blank_none(spec.clip),
+            "tau": _blank_none(spec.tau),
             "betas": ",".join(repr(b) for b in sorted(beta_list)),
             "repeats": cfg["repeats"], "data_size": cfg["data_size"], "lr": cfg["lr"],
             "batch_size": cfg["batch_size"], "init_h": cfg["init_h"], "target": cfg["target"],
@@ -353,7 +369,7 @@ def _cmd_mdp_train(args, parser) -> int:
         parser.error(str(err))
     rows = []
     for spec, tables in zip(specs, train_many(mdp, dataset, configs)):
-        order = "" if spec.order is None else spec.order
+        order = _blank_none(spec.order)
         for s in range(mdp.num_states):
             rows.append(
                 (
@@ -444,30 +460,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gumbelkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    def common(p):
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help="master seed (fixed constant when omitted)")
-        p.add_argument("--out", required=out_required, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
+
+    def loss_flags(p, orders, include, include_help):
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--orders", default=orders, help="comma list of even truncation orders")
+        p.add_argument("--include", default=include, help=include_help)
+        p.add_argument("--clip", type=float, default=7.0)
+        p.add_argument("--tau", type=float, default=0.7)
 
     p = sub.add_parser("loss-curve", help="tabulate loss values over a residual grid")
     common(p)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--orders", default="2,4,8", help="comma list of even truncation orders")
-    p.add_argument("--include", default="gumbel",
-                   help="extra variants: gumbel, l2, clipped, expectile, or none")
-    p.add_argument("--clip", type=float, default=7.0)
-    p.add_argument("--tau", type=float, default=0.7)
+    loss_flags(p, "2,4,8", "gumbel", "extra variants: gumbel, l2, clipped, expectile, or none")
     p.add_argument("--grid", default="-3:3:0.01", help="residual grid as lo:hi:step")
     p.set_defaults(func=_cmd_loss_curve)
 
     p = sub.add_parser("err-dist", help="normalized implied error densities")
     common(p)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--orders", default="2,4,8,12,16")
-    p.add_argument("--include", default="none",
-                   help="extra variants (the plain gumbel needs a wide left bound)")
-    p.add_argument("--clip", type=float, default=7.0)
-    p.add_argument("--tau", type=float, default=0.7)
+    loss_flags(p, "2,4,8,12,16", "none",
+               "extra variants (the plain gumbel needs a wide left bound)")
     p.add_argument("--bounds", default="-10:10", help="density span as lo:hi")
     p.add_argument("--points", type=int, default=20_001)
     p.set_defaults(func=_cmd_err_dist)
@@ -495,11 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdp-train", help="in-sample value fitting against exact oracles")
     common(p)
     p.add_argument("--mdp", default="risky5", help="zoo name or JSON file path")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--orders", default="2,4,8,12,20")
-    p.add_argument("--include", default="none", help="extra variants, e.g. gumbel")
-    p.add_argument("--clip", type=float, default=7.0)
-    p.add_argument("--tau", type=float, default=0.7)
+    loss_flags(p, "2,4,8,12,20", "none", "extra variants, e.g. gumbel")
     p.add_argument("--mode", choices=("closed", "gradient"), default="gradient")
     p.add_argument("--dataset", choices=("exhaustive", "rollout"), default="exhaustive")
     p.add_argument("--dataset-size", dest="dataset_size", type=int, default=None)

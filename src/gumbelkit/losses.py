@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -124,16 +124,6 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
 
 # Unchecked kernels on float arrays, behind the spec dispatch.
 
-def _gumbel_terms(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(z) - z - 1.0
-
-
-def _gumbel_grads(z: np.ndarray, beta: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return (1.0 - np.exp(z)) / beta
-
-
 def _clipped_terms(residuals: np.ndarray, beta: float, clip: float,
                    pointwise: bool = False) -> np.ndarray:
     """Per-sample clipped terms around m = the max of z along the last axis, or
@@ -146,73 +136,49 @@ def _clipped_terms(residuals: np.ndarray, beta: float, clip: float,
         return np.exp(z - m) - z * em - em
 
 
-def _clipped_grads(residuals: np.ndarray, beta: float, clip: float) -> np.ndarray:
-    zraw = residuals / beta
-    z = np.clip(zraw, -clip, clip)
-    m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
-    with np.errstate(over="ignore"):
-        grads = np.exp(-m) * (1.0 - np.exp(z)) / beta
-    return np.where(np.abs(zraw) <= clip, grads, 0.0)
+def _horner(z, coeffs):
+    """sum_k coeffs[k] * z**(k + 1), by Horner's scheme from the top coefficient.
 
-
-def _series_terms(z: np.ndarray, order: int) -> np.ndarray:
-    # Horner: after the loop acc = z * sum_{j=2..n} z**(j-2) / j!
-    c = _recip_factorials(order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = c[order] * z
-        for j in range(order - 1, 1, -1):
-            acc = (acc + c[j]) * z
-        return acc * z
-
-
-def _series_grads(z: np.ndarray, beta: float, order: int) -> np.ndarray:
-    # Horner: after the loop acc = sum_{k=1..n-1} z**k / k!
-    c = _recip_factorials(order - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = c[order - 1] * z
-        for k in range(order - 2, 0, -1):
-            acc = (acc + c[k]) * z
-        return -acc / beta
-
-
-def _series_grads_rows(z: np.ndarray, beta: np.ndarray, coeffs: list[np.ndarray]) -> np.ndarray:
-    # _series_grads for rows of different orders: coeffs[j] holds each row's
-    # 1 / j!, or zero above the row's own order - 1.  A zero leading
-    # coefficient keeps acc at +-0 until the row's top term, where
-    # (+-0 + c) * z == c * z, so each row matches _series_grads bit for bit
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = coeffs[-1] * z
-        for c in coeffs[-2:0:-1]:
-            acc += c
-            acc *= z
-        acc /= beta
-        return np.negative(acc, out=acc)
-
-
-def _group_kernel(variant: str, specs: list[LossSpec], batch: int):
-    """One gradient function for the rows of one kernel, on (rows, batch) residuals.
-
-    Parameters are spread to the full (rows, batch) shape up front: numpy
-    dispatches same-shape operands faster than broadcast ones.
+    Each coefficient is a scalar, or a (rows, batch) array zero-padded above
+    each row's own top term.  A zero leading coefficient keeps acc at +-0
+    until the row's top term, where (+-0 + c) * z == c * z, so each row
+    matches its unpadded evaluation bit for bit wherever z is finite.
     """
-    def full(values) -> np.ndarray:
-        return np.repeat(np.array(values, dtype=float)[:, None], batch, axis=1)
+    acc = coeffs[-1] * z
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= z
+    return acc
 
-    beta = full([spec.beta for spec in specs])
-    if variant == "gumbel":
-        return lambda r: _gumbel_grads(r / beta, beta)
-    if variant == "clipped_gumbel":
-        clip = full([spec.clip for spec in specs])
-        return lambda r: _clipped_grads(r, beta, clip)
-    if variant == "expectile":
-        tau = full([spec.tau for spec in specs])
-        return lambda r: _expectile_grads(r, tau)
-    tops = [(spec.order or 2) - 1 for spec in specs]
-    table = np.zeros((max(tops) + 1, len(specs), 1))
-    for row, top in enumerate(tops):
-        table[: top + 1, row, 0] = _recip_factorials(top)
-    coeffs = list(np.repeat(table, batch, axis=2))
-    return lambda r: _series_grads_rows(r / beta, beta, coeffs)
+
+def _grad_coeffs(spec: LossSpec) -> tuple[float, ...]:
+    """1 / k! for k = 1 .. order - 1: the gradient series of a series variant
+    (l2 is order 2); empty for every other variant."""
+    if spec.variant not in ("expanded_gumbel", "l2"):
+        return ()
+    return _recip_factorials((spec.order or 2) - 1)[1:]
+
+
+def _variant_grads(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
+    """Per-sample gradients of one kernel with respect to the prediction.
+
+    The parameters are one spec's scalars, or full (rows, batch) arrays for
+    rows that share the kernel (see :func:`_row_grads`); the residuals come
+    last, so a group's kernel is this function with the rest bound.  Every
+    variant not named here is a series, whose gradient is
+    -(1/beta) sum_k coeffs[k] z**(k+1).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "gumbel":
+            return (1.0 - np.exp(r / beta)) / beta
+        if variant == "clipped_gumbel":
+            zraw = r / beta
+            z = np.clip(zraw, -clip, clip)
+            m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
+            return np.where(np.abs(zraw) <= clip, np.exp(-m) * (1.0 - np.exp(z)) / beta, 0.0)
+        if variant == "expectile":
+            return -2.0 * np.where(r < 0, 1.0 - tau, tau) * r
+        return -_horner(r / beta, coeffs) / beta
 
 
 def _row_grads(specs: list[LossSpec], batch: int):
@@ -230,9 +196,20 @@ def _row_grads(specs: list[LossSpec], batch: int):
         groups.setdefault(key, []).append(i)
     parts = []
     for key, members in groups.items():
+        group = [specs[i] for i in members]
+        series = [_grad_coeffs(spec) for spec in group]
+        table = np.zeros((max(map(len, series)), len(group), 1))
+        for row, c in enumerate(series):
+            table[: len(c), row, 0] = c
+        # parameters spread to the full (rows, batch) shape up front, since numpy
+        # dispatches same-shape operands faster than broadcast ones; one a
+        # variant lacks (None) comes out NaN and goes unread
+        params = np.array([[spec.beta, spec.clip, spec.tau] for spec in group], dtype=float)
+        beta, clip, tau = np.repeat(params.T[:, :, None], batch, axis=2)
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
-        parts.append((rows, _group_kernel(key, [specs[i] for i in members], batch)))
+        coeffs = list(np.repeat(table, batch, axis=2))
+        parts.append((rows, partial(_variant_grads, key, beta, clip, tau, coeffs)))
     if len(parts) == 1:
         return parts[0][1]
 
@@ -243,14 +220,6 @@ def _row_grads(specs: list[LossSpec], batch: int):
         return out
 
     return grads
-
-
-def _expectile_terms(r: np.ndarray, tau: float) -> np.ndarray:
-    return np.where(r < 0, 1.0 - tau, tau) * r * r
-
-
-def _expectile_grads(r: np.ndarray, tau: float) -> np.ndarray:
-    return -2.0 * np.where(r < 0, 1.0 - tau, tau) * r
 
 
 def gumbel_loss(residual, beta: float):
@@ -345,16 +314,18 @@ def loss_values(spec: LossSpec, residuals):
     """
     r = np.asarray(residuals, dtype=float)
     variant = spec.variant
-    if variant == "gumbel":
-        out = _gumbel_terms(r / spec.beta)
-    elif variant == "expanded_gumbel":
-        out = _series_terms(r / spec.beta, spec.order)
-    elif variant == "l2":
-        out = _series_terms(r / spec.beta, 2)
-    elif variant == "expectile":
-        out = _expectile_terms(r, spec.tau)
-    else:
-        out = _clipped_terms(r, spec.beta, spec.clip, pointwise=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "gumbel":
+            z = r / spec.beta
+            out = np.exp(z) - z - 1.0
+        elif variant == "expectile":
+            out = np.where(r < 0, 1.0 - spec.tau, spec.tau) * r * r
+        elif variant == "clipped_gumbel":
+            out = _clipped_terms(r, spec.beta, spec.clip, pointwise=True)
+        else:
+            # sum_{j=2..n} z**j / j!, as z * sum_{j=2..n} z**(j-1) / j!
+            z = r / spec.beta
+            out = _horner(z, _recip_factorials(spec.order or 2)[2:]) * z
     return _like_input(out, residuals)
 
 
@@ -366,18 +337,10 @@ def loss_grads(spec: LossSpec, residuals):
     sample for every other variant.
     """
     r = np.asarray(residuals, dtype=float)
-    variant = spec.variant
-    if variant == "gumbel":
-        out = _gumbel_grads(r / spec.beta, spec.beta)
-    elif variant == "expanded_gumbel":
-        out = _series_grads(r / spec.beta, spec.beta, spec.order)
-    elif variant == "l2":
-        out = _series_grads(r / spec.beta, spec.beta, 2)
-    elif variant == "expectile":
-        out = _expectile_grads(r, spec.tau)
-    else:
-        return _clipped_grads(np.atleast_1d(r), spec.beta, spec.clip)
-    return _like_input(out, residuals)
+    if spec.variant == "clipped_gumbel":
+        r = np.atleast_1d(r)
+    out = _variant_grads(spec.variant, spec.beta, spec.clip, spec.tau, _grad_coeffs(spec), r)
+    return _like_input(out, r)
 
 
 def loss_curve(spec: LossSpec, grid) -> np.ndarray:

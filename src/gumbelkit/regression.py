@@ -88,6 +88,8 @@ class RegressionConfig:
             raise ValueError("n_data, batch_size, and repeats must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be positive and finite")
+        if not math.isfinite(self.init_h):
+            raise ValueError(f"init_h must be finite, got {self.init_h}")
         if len(self.checkpoints) == 0 or any(
             b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])
         ):
@@ -137,10 +139,14 @@ class RegressionTrace:
     def __post_init__(self) -> None:
         survivors = self.errors[self.diverged_at == 0]
         self.diverged_count = len(self.errors) - len(survivors)
+        # taken on the errors scaled by the power of two above each column's largest,
+        # which is exact and keeps the squares of errors past 1e154 from overflowing
+        exponent = np.frexp(survivors.max(axis=0, initial=0.0))[1]
+        scaled = np.ldexp(survivors, -exponent)
         if len(survivors) >= 1:
-            self.mean_abs_error = survivors.mean(axis=0)
+            self.mean_abs_error = np.ldexp(scaled.mean(axis=0), exponent)
         if len(survivors) >= 2:
-            self.std_abs_error = survivors.std(axis=0, ddof=1)
+            self.std_abs_error = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
 
     @property
     def all_diverged(self) -> bool:

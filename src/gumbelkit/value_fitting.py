@@ -29,27 +29,11 @@ __all__ = [
     "TrainConfig",
     "ValueTables",
     "IterationRecord",
-    "DivergenceError",
     "v_step",
     "q_step",
     "train",
     "train_many",
 ]
-
-
-class DivergenceError(RuntimeError):
-    """A value table left the finite, data-supported range.
-
-    Carries the offending state, the residual that produced the bad
-    gradient when known, and the row of a stacked fit that it hit.
-    """
-
-    def __init__(self, message: str, state: int | None = None, residual: float | None = None,
-                 row: int = 0):
-        super().__init__(message)
-        self.state = state
-        self.residual = residual
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -116,29 +100,27 @@ def v_step(
     v: np.ndarray,
     q: np.ndarray,
     counts: DatasetCounts,
-    loss: LossSpec | Sequence[LossSpec],
-    lr: float | Sequence[float],
+    loss: Sequence[LossSpec],
+    lr: Sequence[float],
     steps: int,
     mode: str = "gradient",
-) -> np.ndarray:
-    """Update V against the dataset's Q residuals; absent states are untouched.
+) -> tuple[np.ndarray, list[str]]:
+    """Update a stack of V tables against the dataset's Q residuals; absent states are untouched.
 
-    Takes one fit, ``v`` (S,) and ``q`` (S, A), or a stack of fits, ``v``
-    (K, S) and ``q`` (K, S, A) with one loss and one rate per row (a single
-    loss or rate serves every row).  Each row is updated as if alone.
-    ``counts`` is the dataset's summary from :meth:`OfflineDataset.counts`.
-    Gradient mode descends each state's dataset-weighted mean loss over its
-    observed actions.  Closed-form mode (squared loss only) jumps straight to
-    the weighted mean of Q(s, .).  A non-finite residual or gradient raises
-    :class:`DivergenceError` naming the first row it hit.
+    Takes ``v`` (K, S) and ``q`` (K, S, A) with one loss and one rate per row,
+    and updates each row as if alone.  ``counts`` is the dataset's summary
+    from :meth:`OfflineDataset.counts`.  Gradient mode descends each state's
+    dataset-weighted mean loss over its observed actions.  Closed-form mode
+    (squared loss only) jumps straight to the weighted mean of Q(s, .).
+
+    Returns the new V and one note per row, empty for a row that ran every
+    step.  A row whose residuals or gradients stop being finite stops there:
+    it keeps its input V, and its note names the state where it broke.
     """
-    single = v.ndim == 1
-    if single:
-        v, q = v[None], q[None]
     v_new = v.astype(float)
     q_seen = q[:, counts.observed]
     k_count, s_count = v_new.shape
-    specs = [loss] * k_count if isinstance(loss, LossSpec) else list(loss)
+    notes = [""] * k_count
     rows, weights = counts.pair_states, counts.pair_weights
     # row k's pairs fall in bins k * S + state of the flattened table, so one
     # bincount sums every row and one take gathers every row's V
@@ -151,42 +133,53 @@ def v_step(
         return sums.reshape(k_count, s_count)
 
     if mode == "closed_form_n2":
-        if not all(_is_squared(spec) for spec in specs):
+        if not all(_is_squared(spec) for spec in loss):
             raise ValueError("closed_form_n2 requires the squared loss")
         means = state_sums(q_seen)
         v_new[:, rows] = means[:, rows]
-        return v_new[0] if single else v_new
+        return v_new, notes
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
-    grads_of = _row_grads(specs, len(rows))
+    grads_of = _row_grads(list(loss), len(rows))
     rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float)
-    for _ in range(steps):
-        residuals = q_seen - v_new.take(bins)
-        finite = np.isfinite(residuals)
-        if not finite.all():
-            row, pair = np.unravel_index(np.argmin(finite), finite.shape)
-            state = int(rows[pair])
-            raise DivergenceError(
-                f"non-finite residual while fitting V at state {state}", state=state, row=int(row)
-            )
-        # one kernel call per group of rows; a clipped row takes its max over its
-        # own pairs, and absent states get an exact zero, so they stay untouched
-        state_grad = state_sums(grads_of(residuals))
-        finite_grad = np.isfinite(state_grad)
-        if not finite_grad.all():
-            row, state = map(int, np.unravel_index(np.argmin(finite_grad), finite_grad.shape))
-            bad = residuals[row][rows == state]
-            worst = float(bad[np.argmax(np.abs(bad))])
-            raise DivergenceError(
-                f"non-finite gradient while fitting V at state {state} "
-                f"(residual about {worst:.6g})",
-                state=state,
-                residual=worst,
-                row=row,
-            )
-        state_grad *= rate
-        v_new -= state_grad
-    return v_new[0] if single else v_new
+    stopped = np.zeros(k_count, dtype=bool)
+
+    def stop(row: int, note: str) -> None:
+        # the row's Q and V are parked at zero, so its residuals and gradients stay
+        # exact zeros and raise nothing; its bins and its clipped maximum are its
+        # own, so the other rows never read them
+        notes[row] = note
+        stopped[row] = True
+        q_seen[row] = 0.0
+        v_new[row] = 0.0
+
+    # an overflow lands as an infinity: the checks below catch it on the next
+    # step, and the caller's table check after the last one
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            residuals = q_seen - v_new.take(bins)
+            finite = np.isfinite(residuals)
+            if not finite.all():
+                for row in np.flatnonzero(~finite.all(axis=1)):
+                    state = int(rows[np.argmin(finite[row])])
+                    stop(row, f"non-finite residual while fitting V at state {state}")
+                    residuals[row] = 0.0
+            # one kernel call per group of rows; a clipped row takes its max over its
+            # own pairs, and absent states get an exact zero, so they stay untouched
+            state_grad = state_sums(grads_of(residuals))
+            finite = np.isfinite(state_grad)
+            if not finite.all():
+                for row in np.flatnonzero(~finite.all(axis=1)):
+                    state = int(np.argmin(finite[row]))
+                    bad = residuals[row][rows == state]
+                    worst = float(bad[np.argmax(np.abs(bad))])
+                    stop(row, f"non-finite gradient while fitting V at state {state} "
+                              f"(residual about {worst:.6g})")
+                    state_grad[row] = 0.0
+            state_grad *= rate
+            v_new -= state_grad
+    v_new[stopped] = v[stopped]
+    return v_new, notes
 
 
 def q_step(
@@ -268,21 +261,15 @@ def train_many(
 
     for it in range(1, outer + 1):
         q = q_step(q, v, counts, mdp.gamma)
-        while True:
-            try:
-                v_new = v_step(v, q, counts, [configs[i].loss for i in live], rates[live],
-                               v_steps, mode=v_mode)
-                break
-            except DivergenceError as err:
-                # the row ends here with its pre-step V; the rest redo the step without it
-                finish(live[err.row], v=v[err.row], q=q[err.row], iterations=it, converged=False,
-                       diverged=True, divergence_note=str(err))
-                keep = np.arange(live.size) != err.row
-                live, v, q = live[keep], v[keep], q[keep]
-                if not live.size:
-                    return results
+        v_new, notes = v_step(v, q, counts, [configs[i].loss for i in live], rates[live],
+                              v_steps, mode=v_mode)
         for row, i in enumerate(live):
             config, bound, v_row, q_row = configs[i], bounds[i], v_new[row], q[row]
+            if notes[row]:
+                # the row stopped inside v_step and kept its pre-step V
+                finish(i, v=v_row, q=q_row, iterations=it, converged=False, diverged=True,
+                       divergence_note=notes[row])
+                continue
             finite = np.all(np.isfinite(v_row)) and np.all(np.isfinite(q_row))
             escaped = finite and (
                 float(np.max(np.abs(v_row))) > bound or float(np.max(np.abs(q_row))) > bound

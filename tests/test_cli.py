@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from gumbelkit.cli import build_parser, main
@@ -208,6 +214,13 @@ def assert_usage_error(args, out, capsys, message):
     assert not out.exists()
 
 
+def error_lines(err):
+    """The lines of a run's stderr that the tool itself wrote, after checking
+    that no traceback is among them."""
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("gumbelkit")]
+
+
 class TestBadRates:
     @pytest.mark.parametrize("args", (
         ["regress", "--repeats", "2", "--lr", "nan"],
@@ -223,6 +236,11 @@ class TestBadRates:
     ))
     def test_infinite_rate_or_tolerance_is_a_usage_error(self, tmp_path, capsys, args):
         assert_usage_error(args, tmp_path / "x.csv", capsys, "must be positive and finite")
+
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_start_is_a_usage_error(self, tmp_path, capsys, value):
+        assert_usage_error(["regress", "--repeats", "2", "--betas", "1", "--init-h", value],
+                           tmp_path / "x.csv", capsys, "init_h must be finite")
 
 
 class TestBadLossParameters:
@@ -275,6 +293,22 @@ class TestCompareCommand:
 
 
 class TestSeedHandling:
+    @pytest.mark.parametrize("command", (
+        ["loss-curve"],
+        ["err-dist", "--points", "11"],
+        ["regress", "--repeats", "2", "--betas", "1"],
+        ["mdp-train", "--mdp", "bandit1"],
+        ["compare", "a.csv", "b.csv"],
+    ), ids=lambda command: command[0])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--seed", "-3", "--out", out])
+        assert exc.value.code == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert "--seed" in line and "non-negative" in line
+        assert not out.exists()
+
     def test_default_seed_is_fixed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["regress", "--betas", "2", "--repeats", "2", "--data-size", "300", "--out", a])
@@ -288,3 +322,75 @@ class TestSeedHandling:
         run_cli(["regress", "--betas", "2", "--repeats", "2", "--data-size", "300",
                  "--seed", "2", "--out", b])
         assert a.read_bytes() != b.read_bytes()
+
+
+# For each subcommand: a tiny run, the real-valued flags it reads and its count
+# flags, each with a valid value.  The fuzzer gives every flag either that
+# value, a bad one, or leaves it out.
+FUZZ_RUNS = {
+    "regress": (
+        ["regress", "--repeats", "2", "--betas", "1", "--data-size", "50"],
+        {"--betas": "1", "--lr": "0.02", "--init-h": "1.0", "--escape-factor": "20"},
+        {"--repeats": "2", "--data-size": "50", "--batch-size": "8"},
+    ),
+    "mdp-train": (
+        ["mdp-train", "--mdp", "bandit1", "--outer", "20", "--v-steps", "5",
+         "--include", "gumbel,clipped,expectile"],
+        {"--beta": "1.0", "--lr-v": "0.002", "--tol": "1e-10", "--clip": "7", "--tau": "0.7"},
+        {"--outer": "20", "--v-steps": "5", "--dataset-size": "40"},
+    ),
+    "loss-curve": (
+        ["loss-curve", "--include", "gumbel,clipped,expectile"],
+        {"--beta": "1.0", "--clip": "7", "--tau": "0.7"},
+        {},
+    ),
+    "err-dist": (
+        ["err-dist", "--points", "11", "--include", "expectile"],
+        {"--beta": "1.0", "--tau": "0.7"},
+        {"--points": "11"},
+    ),
+}
+
+
+def fuzzed_flags(reals, counts):
+    choices = {flag: st.sampled_from(("0", "-1", "nan", "inf", "1e300", valid))
+               for flag, valid in reals.items()}
+    choices.update({flag: st.sampled_from(("0", "-1", valid))
+                    for flag, valid in {**counts, "--seed": "5"}.items()})
+    return st.fixed_dictionaries({flag: st.none() | values for flag, values in choices.items()})
+
+
+def check_fuzzed_run(command, flags):
+    """Run one fuzzed command line and check how it ends.
+
+    It exits 0 and writes its CSV, or exits nonzero with exactly one error
+    line and no traceback.  A NaN real value, or a count or seed of -1, is a
+    bad setting, so the exit is 2, a usage error.
+    """
+    base, reals, _ = FUZZ_RUNS[command]
+    argv = base + [part for flag, value in flags.items() if value is not None
+                   for part in (flag, value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run_cli(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        lines = error_lines(err.getvalue())
+        if any(value == ("nan" if flag in reals else "-1") for flag, value in flags.items()):
+            assert code == 2, (argv, code, err.getvalue())
+        if code == 0:
+            assert os.path.exists(out) and not lines, argv
+        else:
+            assert code in (1, 2) and len(lines) == 1, (argv, code, err.getvalue())
+
+
+class TestFuzzedFlags:
+    @pytest.mark.parametrize("command", sorted(FUZZ_RUNS))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_writes_a_csv_or_fails_in_one_line(self, command, data):
+        base, reals, counts = FUZZ_RUNS[command]
+        check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts)))

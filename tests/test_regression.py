@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gumbelkit.losses import LossSpec, loss_grads, loss_values
 from gumbelkit.regression import (
     RegressionConfig,
+    RegressionTrace,
     experiment_rows,
     full_batch_descent,
     generate_data,
@@ -293,6 +294,17 @@ class TestAggregation:
         assert trace.mean_abs_error.shape == (len(config.checkpoints),)
         assert np.all(trace.std_abs_error >= 0)
 
+    def test_aggregates_survive_errors_whose_squares_overflow(self):
+        config = cell_config(2.0, 2.0, LossSpec.gumbel(beta=2.0))
+        errors = np.array([[1e300, 0.25, 3.0], [2e300, 0.5, 1e-3], [4e300, 0.125, 7.5]])
+        trace = RegressionTrace(config, errors, np.zeros(3, dtype=int), np.zeros(3), np.zeros(3))
+        # the huge column, scaled down by hand; the ordinary ones as numpy gives them
+        np.testing.assert_allclose(trace.mean_abs_error[0], 1e300 * 7 / 3, rtol=1e-15)
+        np.testing.assert_allclose(trace.std_abs_error[0], 1e300 * np.std([1, 2, 4], ddof=1),
+                                   rtol=1e-15)
+        assert trace.mean_abs_error[1:].tobytes() == errors[:, 1:].mean(axis=0).tobytes()
+        assert trace.std_abs_error[1:].tobytes() == errors[:, 1:].std(axis=0, ddof=1).tobytes()
+
     def test_all_diverged_cell_is_flagged(self):
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5), repeats=5)
         trace = run_cell(config)
@@ -377,6 +389,7 @@ class TestConfigValidation:
 
     def test_positive_counts_enforced(self):
         for override in (dict(repeats=0), dict(lr=0.0), dict(lr=math.nan), dict(lr=math.inf),
-                         dict(escape_factor=math.inf)):
+                         dict(escape_factor=math.inf), dict(init_h=math.nan),
+                         dict(init_h=math.inf)):
             with pytest.raises(ValueError):
                 cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), **override)

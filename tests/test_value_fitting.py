@@ -48,45 +48,46 @@ class TestVStep:
         mdp = zoo("risky5")
         data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"])
         q = np.arange(10, dtype=float).reshape(5, 2)
-        v = v_step(np.zeros(5), q, data.counts(5, 2), LossSpec.l2(), lr=0.1, steps=1,
-                   mode="closed_form_n2")
+        v, notes = v_step(np.zeros((1, 5)), q[None], data.counts(5, 2), [LossSpec.l2()], [0.1],
+                          steps=1, mode="closed_form_n2")
         expected = (mdp.behavior_policy * q).sum(axis=1)
-        np.testing.assert_allclose(v, expected, atol=1e-12)
+        np.testing.assert_allclose(v[0], expected, atol=1e-12)
+        assert notes == [""]
 
     def test_closed_form_requires_squared_loss(self):
         mdp = zoo("bandit1")
         data = generate_dataset(mdp, "exhaustive", 400)
         with pytest.raises(ValueError):
-            v_step(np.zeros(1), np.zeros((1, 2)), data.counts(1, 2), LossSpec.gumbel(), 0.1, 1,
-                   mode="closed_form_n2")
+            v_step(np.zeros((1, 1)), np.zeros((1, 1, 2)), data.counts(1, 2), [LossSpec.gumbel()],
+                   [0.1], 1, mode="closed_form_n2")
 
     def test_absent_states_untouched(self):
         mdp = zoo("bandit1")
         data = generate_dataset(mdp, "exhaustive", 400)
         # widen the tables artificially: state 1 never appears in the dataset
-        q = np.array([[0.0, 1.0], [5.0, 5.0]])
-        v = v_step(np.array([0.0, -3.0]), q, data.counts(2, 2), LossSpec.l2(), 0.5, 10)
-        assert v[1] == -3.0
-        assert v[0] != 0.0
+        q = np.array([[[0.0, 1.0], [5.0, 5.0]]])
+        v, _ = v_step(np.array([[0.0, -3.0]]), q, data.counts(2, 2), [LossSpec.l2()], [0.5], 10)
+        assert v[0, 1] == -3.0
+        assert v[0, 0] != 0.0
 
     def test_exponential_loss_reaches_log_partition(self):
         mdp = two_q_bandit((0.0, 1.0))
         data = generate_dataset(mdp, "exhaustive", 100)
-        q = np.array([[0.0, 1.0]])
-        v = np.zeros(1)
+        q = np.array([[[0.0, 1.0]]])
+        v = np.zeros((1, 1))
         for _ in range(400):
-            v = v_step(v, q, data.counts(1, 2), LossSpec.gumbel(), lr=0.2, steps=10)
-        assert v[0] == pytest.approx(math.log((1.0 + math.e) / 2.0), abs=1e-9)
+            v, _ = v_step(v, q, data.counts(1, 2), [LossSpec.gumbel()], [0.2], steps=10)
+        assert v[0, 0] == pytest.approx(math.log((1.0 + math.e) / 2.0), abs=1e-9)
 
     def test_truncated_loss_lands_between_mean_and_log_partition(self):
         mdp = two_q_bandit((0.0, 1.0))
         data = generate_dataset(mdp, "exhaustive", 100)
-        q = np.array([[0.0, 1.0]])
-        v = np.zeros(1)
+        q = np.array([[[0.0, 1.0]]])
+        v = np.zeros((1, 1))
         for _ in range(400):
-            v = v_step(v, q, data.counts(1, 2), LossSpec.expanded(8), lr=0.2, steps=10)
+            v, _ = v_step(v, q, data.counts(1, 2), [LossSpec.expanded(8)], [0.2], steps=10)
         mean, lse = 0.5, math.log((1.0 + math.e) / 2.0)
-        assert mean < v[0] < lse
+        assert mean < v[0, 0] < lse
         # independent check: golden-section minimization of the empirical loss
         oracle = optimize.minimize_scalar(
             lambda t: 0.5 * (expanded_gumbel_loss(0.0 - t, 1.0, 8) + expanded_gumbel_loss(1.0 - t, 1.0, 8)),
@@ -94,7 +95,31 @@ class TestVStep:
             method="golden",
             options={"xtol": 1e-12},
         )
-        assert v[0] == pytest.approx(oracle.x, abs=1e-7)
+        assert v[0, 0] == pytest.approx(oracle.x, abs=1e-7)
+
+    def test_a_row_that_breaks_keeps_its_input_and_spares_the_rest(self):
+        mdp = zoo("risky5")
+        counts = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"]).counts(5, 2)
+        rng = np.random.default_rng(4)
+        q = rng.normal(size=(7, 5, 2))
+        q[5, 3, 1] = math.inf
+        v = rng.normal(size=(7, 5))
+        specs = [LossSpec.expanded(4), LossSpec.gumbel(0.5), LossSpec.clipped(0.7),
+                 # the exponential overflows on the first step, the order-8 series
+                 # after a few growing oscillations, and row 5 reads an infinite Q
+                 LossSpec.gumbel(0.005), LossSpec.expanded(8, beta=0.3), LossSpec.l2(),
+                 LossSpec.expectile(0.7)]
+        lr = [0.05, 0.05, 0.05, 0.05, 3.0, 0.05, 0.05]
+        got, notes = v_step(v, q, counts, specs, lr, steps=40)
+        assert [bool(note) for note in notes] == [False, False, False, True, True, True, False]
+        assert notes[3].startswith("non-finite gradient while fitting V at state ")
+        assert "(residual about " in notes[3]
+        assert notes[4].startswith("non-finite gradient")
+        assert notes[5] == "non-finite residual while fitting V at state 3"
+        for row in range(7):
+            want = v[row] if notes[row] else v_step(v[[row]], q[[row]], counts, [specs[row]],
+                                                   [lr[row]], steps=40)[0][0]
+            assert got[row].tobytes() == want.tobytes(), row
 
 
 class TestQStep:
@@ -301,7 +326,7 @@ class TestTrainMany:
         configs = [
             # escapes the value-scale bound after its first step
             TrainConfig(loss=LossSpec.gumbel(beta=0.05), lr_v=2e-7, **shared),
-            # its gradient overflows inside v_step, which the stack then redoes without it
+            # its gradient overflows inside v_step, which stops this row alone
             TrainConfig(loss=LossSpec.expanded(8, beta=0.3), lr_v=3.0, **shared),
             TrainConfig(loss=LossSpec.expanded(4, beta=0.05), lr_v=2e-7, **shared),
         ]

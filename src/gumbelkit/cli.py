@@ -161,11 +161,18 @@ def _build_spec(parser, variant_alias: str, beta: float, order: int | None,
         parser.error(str(err))
 
 
+def _check_clip_tau(parser, clip: float, tau: float) -> None:
+    """--clip and --tau by LossSpec's own rules, whether or not a selected loss reads them."""
+    _build_spec(parser, "clipped", 1.0, None, clip, tau)
+    _build_spec(parser, "expectile", 1.0, None, clip, tau)
+
+
 def _loss_specs(args, parser, task: str) -> list[LossSpec]:
     """The expanded losses named by --orders, then the variants named by --include."""
     # checked here too: --beta also sets the soft oracle, and expectile ignores it
     if not (math.isfinite(args.beta) and args.beta > 0):
         parser.error(f"beta must be a positive finite real, got {args.beta}")
+    _check_clip_tau(parser, args.clip, args.tau)
     include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
     specs = [_build_spec(parser, "expanded", args.beta, n, args.clip, args.tau)
              for n in _parse_orders(args.orders, parser)]
@@ -217,7 +224,7 @@ def _cmd_err_dist(args, parser) -> int:
         rows,
     )
     config = {"beta": args.beta, "orders": args.orders, "include": args.include,
-              "bounds": args.bounds, "points": args.points}
+              "clip": args.clip, "tau": args.tau, "bounds": args.bounds, "points": args.points}
     config.update(normalizers)
     _write_manifest(args.out, "err-dist", args.seed, config)
     return 0
@@ -283,6 +290,7 @@ def _cmd_regress(args, parser) -> int:
     escape_raw = cfg["escape_factor"]
     escape = None if str(escape_raw).lower() == "none" else float(escape_raw)
 
+    _check_clip_tau(parser, cfg["clip"], cfg["tau"])
     # reference spec at beta 1; run_experiment re-keys beta per cell
     spec = _build_spec(parser, cfg["loss"], 1.0, cfg["order"], cfg["clip"], cfg["tau"])
     try:
@@ -389,8 +397,9 @@ def _cmd_mdp_train(args, parser) -> int:
     _write_manifest(
         args.out, "mdp-train", args.seed,
         {"mdp": mdp_name, "beta": args.beta, "orders": args.orders, "include": args.include,
-         "mode": args.mode, "dataset": args.dataset, "dataset_size": size, "lr_v": lr_v,
-         "v_steps": args.v_steps, "outer": args.outer, "tol": args.tol},
+         "clip": args.clip, "tau": args.tau, "mode": args.mode, "dataset": args.dataset,
+         "dataset_size": size, "lr_v": lr_v, "v_steps": args.v_steps, "outer": args.outer,
+         "tol": args.tol},
     )
     return 0
 
@@ -412,6 +421,8 @@ def _read_result_csv(path: str, parser) -> dict:
 
 
 def _cmd_compare(args, parser) -> int:
+    if not 0 < args.alpha < 1:
+        parser.error(f"alpha must lie in (0, 1), got {args.alpha}")
     table_a = _read_result_csv(args.csv_a, parser)
     table_b = _read_result_csv(args.csv_b, parser)
     keys = sorted(set(table_a) & set(table_b), key=lambda k: (float(k[0]), float(k[1]), int(k[2])))

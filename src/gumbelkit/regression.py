@@ -32,7 +32,6 @@ __all__ = [
     "RegressionConfig",
     "RepeatResult",
     "RegressionTrace",
-    "CellResult",
     "DEFAULT_BETAS",
     "generate_data",
     "target_value",
@@ -167,13 +166,6 @@ class RegressionTrace:
         ]
 
 
-@dataclass(frozen=True)
-class CellResult:
-    beta_data: float
-    beta_reg: float
-    trace: RegressionTrace
-
-
 def generate_data(beta_data: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the negated Gumbel at scale beta_data."""
     if not beta_data > 0:
@@ -216,37 +208,30 @@ def _escape_bound(config: RegressionConfig, data: np.ndarray) -> float:
     return config.escape_factor * (1.0 + scale)
 
 
-def _shared_data(config: RegressionConfig) -> np.ndarray:
-    return generate_data(
-        config.beta_data, config.n_data, stream(config.master_seed, *config.stream_key, 0)
-    )
-
-
 # steps of batch indices each live repeat draws at a time: enough to amortize
 # the draw call, small enough that a cell holds only a slice of its index stream
 _DRAW_CHUNK = 100
 
 
-def _run_repeats(
-    config: RegressionConfig, repeats: list[int], shared: np.ndarray | None
-) -> RegressionTrace:
-    """SGD runs of the given repeats, stepped together as rows of (rows, batch) arrays.
+def run_cell(config: RegressionConfig) -> RegressionTrace:
+    """All repeats of one cell: SGD runs stepped together as rows of (repeats, batch) arrays.
 
     Each row draws its data and then its batch indices from its own stream, and
     the batch is the last array axis, so a row computes exactly what it would
     compute alone.  A row stops at its first divergence and leaves the live
-    set; the loop ends once no row is live.  The trace has one row per given
-    repeat, in order.
+    set; the loop ends once no row is live.  Without ``resample_data`` every
+    row reads one dataset, drawn from stream slot 0.
     """
-    rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in repeats]
-    count, n = len(rngs), config.n_data
+    count, n = config.repeats, config.n_data
+    rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(count)]
     if config.resample_data:
         pool = np.empty((count, n))
         for row, rng in zip(pool, rngs):
             row[:] = generate_data(config.beta_data, n, rng)
         source = np.arange(count)              # pool row each repeat reads
     else:
-        pool = (_shared_data(config) if shared is None else shared)[None, :]
+        shared = stream(config.master_seed, *config.stream_key, 0)
+        pool = generate_data(config.beta_data, n, shared)[None, :]
         source = np.zeros(count, dtype=int)
     targets = np.array([target_value(pool[s], config.beta_reg, config.target) for s in source])
     bounds = np.array([_escape_bound(config, pool[s]) for s in source])
@@ -299,31 +284,23 @@ def _run_repeats(
     return RegressionTrace(config, errors, diverged_at, targets, final_h)
 
 
-def run_repeat(
-    config: RegressionConfig, repeat_index: int, data: np.ndarray | None = None
-) -> RepeatResult:
-    """One SGD run: batches with replacement, one step per update.
+def run_repeat(config: RegressionConfig, repeat_index: int) -> RepeatResult:
+    """One SGD run: row ``repeat_index`` of its cell, which computes it as if alone.
 
     Checkpoint entries record |h - target|; after a divergence the remaining
-    entries stay NaN (missing, not infinite).  ``data`` is the shared dataset
-    and is read only when the config does not resample per repeat.
+    entries stay NaN (missing, not infinite).
     """
-    return _run_repeats(config, [repeat_index], data).repeats[0]
-
-
-def run_cell(config: RegressionConfig) -> RegressionTrace:
-    """All repeats of one cell, stepped together and aggregated."""
-    return _run_repeats(config, list(range(config.repeats)), None)
+    return run_cell(dataclasses.replace(config, repeats=repeat_index + 1)).repeats[repeat_index]
 
 
 def run_experiment(
     base: RegressionConfig,
     betas: tuple[float, ...] = DEFAULT_BETAS,
-) -> list[CellResult]:
+) -> list[RegressionTrace]:
     """Run the full (beta_data, beta_reg) grid derived from a base config.
 
-    Cells are keyed in sorted order; each cell gets its own stream key so the
-    output is independent of execution order.
+    Cells come in sorted (beta_data, beta_reg) order; each cell gets its own
+    stream key so the output is independent of execution order.
     """
     cells = []
     grid = sorted(betas)
@@ -339,7 +316,7 @@ def run_experiment(
                 loss=loss,
                 stream_key=(i * len(grid) + j,),
             )
-            cells.append(CellResult(beta_data, beta_reg, run_cell(config)))
+            cells.append(run_cell(config))
     return cells
 
 
@@ -374,15 +351,14 @@ EXPERIMENT_COLUMNS = (
 )
 
 
-def experiment_rows(cells: list[CellResult]) -> list[tuple]:
+def experiment_rows(cells: list[RegressionTrace]) -> list[tuple]:
     """Flatten cell traces into EXPERIMENT_COLUMNS rows, canonically sorted.
 
     Aggregate fields are empty strings when fewer than two (mean: one)
     repeats survived, so the output never contains NaN text.
     """
     rows = []
-    for cell in sorted(cells, key=lambda c: (c.beta_data, c.beta_reg)):
-        trace = cell.trace
+    for trace in sorted(cells, key=lambda t: (t.config.beta_data, t.config.beta_reg)):
         cfg = trace.config
         order = "" if cfg.loss.order is None else cfg.loss.order
         for k, cp in enumerate(cfg.checkpoints):
@@ -390,8 +366,8 @@ def experiment_rows(cells: list[CellResult]) -> list[tuple]:
             std = "" if trace.std_abs_error is None else float(trace.std_abs_error[k])
             rows.append(
                 (
-                    cell.beta_data,
-                    cell.beta_reg,
+                    cfg.beta_data,
+                    cfg.beta_reg,
                     cfg.loss.variant,
                     order,
                     cp,

@@ -28,7 +28,6 @@ from .mdp import DatasetCounts, OfflineDataset, TabularMdp
 __all__ = [
     "TrainConfig",
     "ValueTables",
-    "IterationRecord",
     "v_step",
     "q_step",
     "train",
@@ -73,17 +72,14 @@ def _is_squared(spec: LossSpec) -> bool:
     return spec.variant == "l2" or (spec.variant == "expanded_gumbel" and spec.order == 2)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    max_change: float
-    v_loss: float
-    q_loss: float
-
-
 @dataclass
 class ValueTables:
-    """Fitted tables plus the trace of the run that produced them."""
+    """Fitted tables plus the trace of the run that produced them.
+
+    ``trace`` holds one row per recorded iteration, row j for iteration j + 1,
+    with columns (max change of V, V loss, Q loss).  A fit that diverges
+    records no row for the iteration that stopped it.
+    """
 
     v: np.ndarray
     q: np.ndarray
@@ -93,7 +89,7 @@ class ValueTables:
     divergence_note: str = ""
     final_v_loss: float = math.nan
     final_q_loss: float = math.nan
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
 
 def v_step(
@@ -248,16 +244,18 @@ def train_many(
     counts = dataset.counts(s_count, a_count)
     present = counts.observed
     seen_counts = counts.pair_counts[present]
+    visited = counts.visits > 0
     rates = np.array([c.lr_v for c in configs])
     bounds = [_value_scale_bound(mdp, c.loss, c.escape_factor) for c in configs]
     results: list[ValueTables | None] = [None] * len(configs)
-    traces: list[list[IterationRecord]] = [[] for _ in configs]
+    # row i, iteration j + 1: (max change of V, V loss, Q loss)
+    traces = np.full((len(configs), outer, 3), np.nan)
     live = np.arange(len(configs))  # the config of each row
     v = np.zeros((len(configs), s_count))
     q = np.zeros((len(configs), s_count, a_count))
 
-    def finish(i: int, **fields) -> None:
-        results[i] = ValueTables(trace=traces[i], **fields)
+    def finish(i: int, recorded: int, **fields) -> None:
+        results[i] = ValueTables(trace=traces[i, :recorded], **fields)
 
     for it in range(1, outer + 1):
         q = q_step(q, v, counts, mdp.gamma)
@@ -267,8 +265,8 @@ def train_many(
             config, bound, v_row, q_row = configs[i], bounds[i], v_new[row], q[row]
             if notes[row]:
                 # the row stopped inside v_step and kept its pre-step V
-                finish(i, v=v_row, q=q_row, iterations=it, converged=False, diverged=True,
-                       divergence_note=notes[row])
+                finish(i, it - 1, v=v_row, q=q_row, iterations=it, converged=False,
+                       diverged=True, divergence_note=notes[row])
                 continue
             finite = np.all(np.isfinite(v_row)) and np.all(np.isfinite(q_row))
             escaped = finite and (
@@ -276,25 +274,29 @@ def train_many(
             )
             if not finite or escaped:
                 what = "non-finite" if not finite else f"beyond the value-scale bound {bound:.6g}"
-                finish(i, v=v_row, q=q_row, iterations=it, converged=False, diverged=True,
-                       divergence_note=f"table entries went {what} at iteration {it}")
+                finish(i, it - 1, v=v_row, q=q_row, iterations=it, converged=False,
+                       diverged=True, divergence_note=f"table entries went {what} at iteration {it}")
                 continue
-            change = float(np.max(np.abs(v_row - v[row])))
-            residuals = (q_row - v_row[:, None])[present]
-            v_loss = _dataset_v_loss(config.loss, residuals, seen_counts)
-            # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the within-cell spread
-            gaps = counts.mean_reward + mdp.gamma * v_row - q_row[:, :, None]
-            q_loss = float((np.sum(counts.visits * gaps**2) + counts.reward_sq_dev) / len(dataset))
-            traces[i].append(IterationRecord(it, change, v_loss, q_loss))
+            # huge finite tables overflow these to +inf, which is what they record
+            with np.errstate(all="ignore"):
+                change = float(np.max(np.abs(v_row - v[row])))
+                residuals = (q_row - v_row[:, None])[present]
+                v_loss = _dataset_v_loss(config.loss, residuals, seen_counts)
+                # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the
+                # within-cell spread; an empty cell's gap counts as 0, so 0 * inf never forms
+                gaps = counts.mean_reward + mdp.gamma * v_row - q_row[:, :, None]
+                gaps[~visited] = 0.0
+                q_loss = float((np.sum(counts.visits * gaps**2) + counts.reward_sq_dev)
+                               / len(dataset))
+            traces[i, it - 1] = change, v_loss, q_loss
             if change < config.tolerance:
-                finish(i, v=v_row, q=q_row, iterations=it, converged=True,
+                finish(i, it, v=v_row, q=q_row, iterations=it, converged=True,
                        final_v_loss=v_loss, final_q_loss=q_loss)
         keep = np.array([results[i] is None for i in live])
         live, v, q = live[keep], v_new[keep], q[keep]
         if not live.size:
             return results
     for row, i in enumerate(live):
-        last = traces[i][-1] if traces[i] else IterationRecord(0, math.nan, math.nan, math.nan)
-        finish(i, v=v[row], q=q[row], iterations=outer, converged=False,
-               final_v_loss=last.v_loss, final_q_loss=last.q_loss)
+        finish(i, outer, v=v[row], q=q[row], iterations=outer, converged=False,
+               final_v_loss=float(traces[i, -1, 1]), final_q_loss=float(traces[i, -1, 2]))
     return results

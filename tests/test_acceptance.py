@@ -128,7 +128,7 @@ def default_gumbel_grid():
     )
     start = time.time()
     cells = run_experiment(base)
-    return {(c.beta_data, c.beta_reg): c.trace for c in cells}, time.time() - start
+    return {(t.config.beta_data, t.config.beta_reg): t for t in cells}, time.time() - start
 
 
 def test_criterion_4a_matched_cells_improve(default_gumbel_grid):

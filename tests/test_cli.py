@@ -199,6 +199,20 @@ class TestMdpTrainCommand:
                         "--out", out]) == 0
         assert read_rows(out)[0]["mdp"] == "bandit1"
 
+    def test_manifest_records_clip(self, tmp_path):
+        runs = {}
+        for clip in ("0.5", "7"):
+            out = tmp_path / f"clip{clip}.csv"
+            assert run_cli(["mdp-train", "--mdp", "bandit1", "--orders", "", "--include",
+                            "clipped", "--clip", clip, "--outer", "20", "--out", out]) == 0
+            manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
+            runs[clip] = out.read_bytes(), set(manifest)
+        (csv_a, lines_a), (csv_b, lines_b) = runs.values()
+        assert csv_a != csv_b
+        assert {line.split("=")[0] for line in lines_a ^ lines_b} == {"config.clip",
+                                                                      "output_files"}
+        assert "config.clip=0.5" in lines_a and "config.tau=0.7" in lines_a
+
 
 def assert_usage_error(args, out, capsys, message):
     """The run exits 2 with argparse's usage and one error line, no traceback, no CSV."""
@@ -255,6 +269,26 @@ class TestBadLossParameters:
     def test_bad_beta_is_a_usage_error(self, tmp_path, capsys, command, beta):
         assert_usage_error(command + [beta], tmp_path / "x.csv", capsys, "beta")
 
+    # none of these runs selects the clipped or the expectile loss
+    @pytest.mark.parametrize("flag,value", [("--clip", v) for v in ("-1", "0", "nan")]
+                             + [("--tau", v) for v in ("0", "1", "5", "nan")])
+    @pytest.mark.parametrize("command", (
+        ["loss-curve", "--include", "gumbel"],
+        ["err-dist", "--points", "11"],
+        ["mdp-train", "--mdp", "bandit1"],
+        ["regress", "--repeats", "2", "--betas", "1"],
+    ), ids=lambda command: command[0])
+    def test_bad_clip_or_tau_is_a_usage_error_even_when_unread(self, tmp_path, capsys, command,
+                                                               flag, value):
+        assert_usage_error(command + [flag, value], tmp_path / "x.csv", capsys, flag[2:])
+
+    @pytest.mark.parametrize("line", ("clip = -1", "tau = 5"))
+    def test_bad_clip_or_tau_config_key_is_a_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert_usage_error(["regress", "--config", str(cfg), "--repeats", "2", "--betas", "1"],
+                           tmp_path / "x.csv", capsys, line.split()[0])
+
 
 class TestCompareCommand:
     def test_self_comparison_gives_p_one(self, tmp_path):
@@ -290,6 +324,13 @@ class TestCompareCommand:
         header = out.read_text().splitlines()[0]
         assert header == ("cell_beta_data,cell_beta_reg,checkpoint,n_a,mean_a,std_a,"
                           "n_b,mean_b,std_b,t_stat,dof,p_value,flag")
+
+    @pytest.mark.parametrize("alpha", ("nan", "-1", "0", "1", "5", "inf"))
+    def test_alpha_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, alpha):
+        r = tmp_path / "r.csv"
+        run_cli(["regress", "--betas", "2", "--repeats", "3", "--data-size", "300", "--out", r])
+        assert_usage_error(["compare", str(r), str(r), "--alpha", alpha], tmp_path / "cmp.csv",
+                           capsys, "alpha")
 
 
 class TestSeedHandling:
@@ -346,7 +387,7 @@ FUZZ_RUNS = {
     ),
     "err-dist": (
         ["err-dist", "--points", "11", "--include", "expectile"],
-        {"--beta": "1.0", "--tau": "0.7"},
+        {"--beta": "1.0", "--clip": "7", "--tau": "0.7"},
         {"--points": "11"},
     ),
 }

@@ -323,14 +323,13 @@ class TestAggregation:
     def test_experiment_grid_keys_are_sorted(self):
         base = cell_config(2.0, 2.0, LossSpec.gumbel(beta=2.0), repeats=2, n_data=500)
         cells = run_experiment(base, betas=(2.0, 0.5))
-        keys = [(c.beta_data, c.beta_reg) for c in cells]
+        keys = [(t.config.beta_data, t.config.beta_reg) for t in cells]
         assert keys == [(0.5, 0.5), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0)]
 
     def test_experiment_rekeys_loss_beta_per_cell(self):
         base = cell_config(2.0, 2.0, LossSpec.gumbel(beta=2.0), repeats=2, n_data=500)
         cells = run_experiment(base, betas=(0.5, 2.0))
-        for cell in cells:
-            assert cell.trace.config.loss.beta == cell.beta_reg
+        assert [t.config.loss.beta for t in cells] == [0.5, 2.0, 0.5, 2.0]
 
 
 class TestKnownHarnessLimits:
@@ -371,7 +370,7 @@ class TestKnownHarnessLimits:
     def test_order_four_survives_every_grid_cell(self):
         base = cell_config(1.0, 1.0, LossSpec.expanded(4, beta=1.0), repeats=5, master_seed=11)
         cells = run_experiment(base)
-        assert all(c.trace.diverged_count == 0 for c in cells)
+        assert all(t.diverged_count == 0 for t in cells)
 
 
 class TestConfigValidation:

@@ -234,15 +234,13 @@ class TestTrain:
         a = train(mdp, data, config)
         b = train(mdp, data, config)
         np.testing.assert_array_equal(a.v, b.v)
-        assert [(r.iteration, r.max_change, r.v_loss, r.q_loss) for r in a.trace] == [
-            (r.iteration, r.max_change, r.v_loss, r.q_loss) for r in b.trace
-        ]
+        assert a.trace.shape == b.trace.shape and a.trace.tobytes() == b.trace.tobytes()
 
     def test_trace_records_losses(self):
         mdp = zoo("bandit1")
         data = generate_dataset(mdp, "exhaustive", 400)
         out = train(mdp, data, sweep_config(LossSpec.expanded(2, beta=1.0), 1.0))
-        assert out.trace[0].max_change > out.trace[-1].max_change
+        assert out.trace[0, 0] > out.trace[-1, 0]
         assert math.isfinite(out.final_v_loss) and math.isfinite(out.final_q_loss)
 
     @pytest.mark.parametrize("loss", (LossSpec.expanded(4), LossSpec.clipped(beta=1.0, clip=7.0)))
@@ -337,6 +335,40 @@ class TestTrainMany:
         assert stacked[2].converged
         for out, config in zip(stacked, configs):
             assert_same_tables(out, train(mdp, data, config))
+
+    def test_trace_rows_follow_how_each_row_leaves(self):
+        mdp = zoo("bandit1")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["bandit1"])
+        shared = dict(v_steps=20, outer_iterations=50)
+        configs = [
+            TrainConfig(loss=LossSpec.expanded(4), lr_v=0.05, tolerance=1e-6, **shared),
+            # overshoots further each step until its residuals overflow inside v_step
+            TrainConfig(loss=LossSpec.l2(), lr_v=5.0, escape_factor=None, **shared),
+            TrainConfig(loss=LossSpec.expanded(8), lr_v=1e-4, **shared),
+        ]
+        converged, diverged, exhausted = stacked = train_many(mdp, data, configs)
+        assert converged.converged and diverged.diverged
+        assert not (exhausted.converged or exhausted.diverged)
+        assert converged.trace.shape == (converged.iterations, 3)
+        assert diverged.trace.shape == (diverged.iterations - 1, 3)
+        assert exhausted.trace.shape == (50, 3)
+        # a fit that runs out reports its last recorded losses
+        assert type(exhausted.final_v_loss) is float and type(exhausted.final_q_loss) is float
+        assert [exhausted.final_v_loss, exhausted.final_q_loss] == exhausted.trace[-1, 1:].tolist()
+        for out, config in zip(stacked, configs):
+            assert_same_tables(out, train(mdp, data, config))
+
+    @pytest.mark.parametrize("name", ("bandit1", "risky5"))
+    def test_overflowing_trace_losses_record_infinity(self, name):
+        # the tables grow past 1e154 before they overflow, so the squared losses
+        # overflow first; risky5 also has (s, a, s') cells the dataset never visits
+        mdp = zoo(name)
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES[name])
+        out = train(mdp, data, TrainConfig(loss=LossSpec.l2(), lr_v=5.0, escape_factor=None,
+                                           outer_iterations=50, v_steps=20))
+        assert out.diverged
+        assert not np.isnan(out.trace).any()
+        assert np.isposinf(out.trace[-1, 1:]).all()
 
     @pytest.mark.parametrize("field,value", (("v_steps", 20), ("v_mode", "closed_form_n2"),
                                              ("outer_iterations", 10)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import sys
@@ -297,7 +296,7 @@ def _cmd_regress(args, parser) -> int:
         base = RegressionConfig(
             beta_data=1.0,
             beta_reg=1.0,
-            loss=spec if spec.variant == "expectile" else dataclasses.replace(spec, beta=1.0),
+            loss=spec,
             n_data=cfg["data_size"],
             lr=cfg["lr"],
             batch_size=cfg["batch_size"],

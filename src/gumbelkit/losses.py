@@ -124,18 +124,6 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
 
 # Unchecked kernels on float arrays, behind the spec dispatch.
 
-def _clipped_terms(residuals: np.ndarray, beta: float, clip: float,
-                   pointwise: bool = False) -> np.ndarray:
-    """Per-sample clipped terms around m = the max of z along the last axis, or
-    around each z itself when every sample is its own batch of one; m is
-    floored at -1 either way."""
-    z = np.clip(residuals / beta, -clip, clip)
-    m = np.maximum(z if pointwise else z.max(axis=-1, keepdims=True), -1.0)
-    with np.errstate(over="ignore"):
-        em = np.exp(-m)
-        return np.exp(z - m) - z * em - em
-
-
 def _horner(z, coeffs):
     """sum_k coeffs[k] * z**(k + 1), by Horner's scheme from the top coefficient.
 
@@ -151,19 +139,21 @@ def _horner(z, coeffs):
     return acc
 
 
-def _grad_coeffs(spec: LossSpec) -> tuple[float, ...]:
-    """1 / k! for k = 1 .. order - 1: the gradient series of a series variant
-    (l2 is order 2); empty for every other variant."""
+def _series_coeffs(spec: LossSpec, values: bool) -> tuple[float, ...]:
+    """The Horner coefficients of a series variant (l2 is order 2): 1 / j! for
+    j = 2 .. order for the values, 1 / k! for k = 1 .. order - 1 for the
+    gradients; empty for every other variant."""
     if spec.variant not in ("expanded_gumbel", "l2"):
         return ()
-    return _recip_factorials((spec.order or 2) - 1)[1:]
+    inverse = _recip_factorials(spec.order or 2)
+    return inverse[2:] if values else inverse[1:-1]
 
 
 def _variant_grads(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
     """Per-sample gradients of one kernel with respect to the prediction.
 
     The parameters are one spec's scalars, or full (rows, batch) arrays for
-    rows that share the kernel (see :func:`_row_grads`); the residuals come
+    rows that share the kernel (see :func:`_row_kernel`); the residuals come
     last, so a group's kernel is this function with the rest bound.  Every
     variant not named here is a series, whose gradient is
     -(1/beta) sum_k coeffs[k] z**(k+1).
@@ -181,23 +171,47 @@ def _variant_grads(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
         return -_horner(r / beta, coeffs) / beta
 
 
-def _row_grads(specs: list[LossSpec], batch: int):
-    """Gradient function for (rows, batch) residuals whose row i is under specs[i].
+def _variant_values(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
+    """Per-sample loss values of one kernel, with the parameters of
+    :func:`_variant_grads`.  The clipped terms share their batch's maximum
+    along the last axis, floored at -1.  Every variant not named here is a
+    series, sum_{j=2..n} z**j / j!, evaluated as z * sum_{j=2..n} z**(j-1) / j!.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "gumbel":
+            z = r / beta
+            return np.exp(z) - z - 1.0
+        if variant == "clipped_gumbel":
+            z = np.clip(r / beta, -clip, clip)
+            m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
+            em = np.exp(-m)
+            return np.exp(z - m) - z * em - em
+        if variant == "expectile":
+            return np.where(r < 0, 1.0 - tau, tau) * r * r
+        z = r / beta
+        # every even-order series is +inf at an infinite z, where a row padded with
+        # zeros above its own order would form 0 * inf = NaN
+        return np.where(np.isinf(z), np.inf, _horner(z, coeffs) * z)
+
+
+def _row_kernel(specs: list[LossSpec], batch: int, values: bool = False):
+    """Gradient (or loss-value) function for (rows, batch) residuals whose row i is under specs[i].
 
     Rows that share a kernel are evaluated in one call per group; the series
     variants (expanded and l2) share one Horner pass up to their highest
-    order.  Each row equals ``loss_grads(specs[i], residuals[i])`` bit for
-    bit wherever residual / beta is finite; where it overflows, both are
-    non-finite.
+    order.  Each row equals ``loss_grads`` (or ``loss_values``, but with a
+    clipped row as one batch) of specs[i] on it, bit for bit wherever
+    residual / beta is finite; where it overflows, both are non-finite.
     """
     groups: dict[str, list[int]] = {}
     for i, spec in enumerate(specs):
         key = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
         groups.setdefault(key, []).append(i)
+    variant_kernel = _variant_values if values else _variant_grads
     parts = []
     for key, members in groups.items():
         group = [specs[i] for i in members]
-        series = [_grad_coeffs(spec) for spec in group]
+        series = [_series_coeffs(spec, values) for spec in group]
         table = np.zeros((max(map(len, series)), len(group), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
@@ -209,17 +223,17 @@ def _row_grads(specs: list[LossSpec], batch: int):
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(_variant_grads, key, beta, clip, tau, coeffs)))
+        parts.append((rows, partial(variant_kernel, key, beta, clip, tau, coeffs)))
     if len(parts) == 1:
         return parts[0][1]
 
-    def grads(residuals: np.ndarray) -> np.ndarray:
+    def kernel(residuals: np.ndarray) -> np.ndarray:
         out = np.empty_like(residuals)
-        for rows, kernel in parts:
-            out[rows] = kernel(residuals[rows])
+        for rows, part in parts:
+            out[rows] = part(residuals[rows])
         return out
 
-    return grads
+    return kernel
 
 
 def gumbel_loss(residual, beta: float):
@@ -253,7 +267,7 @@ def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
     arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss requires a nonempty batch")
-    return float(np.mean(_clipped_terms(arr, spec.beta, spec.clip)))
+    return float(np.mean(_variant_values(spec.variant, spec.beta, spec.clip, None, (), arr)))
 
 
 def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
@@ -313,20 +327,10 @@ def loss_values(spec: LossSpec, residuals):
     which matches how a loss curve is read.
     """
     r = np.asarray(residuals, dtype=float)
-    variant = spec.variant
-    with np.errstate(over="ignore", invalid="ignore"):
-        if variant == "gumbel":
-            z = r / spec.beta
-            out = np.exp(z) - z - 1.0
-        elif variant == "expectile":
-            out = np.where(r < 0, 1.0 - spec.tau, spec.tau) * r * r
-        elif variant == "clipped_gumbel":
-            out = _clipped_terms(r, spec.beta, spec.clip, pointwise=True)
-        else:
-            # sum_{j=2..n} z**j / j!, as z * sum_{j=2..n} z**(j-1) / j!
-            z = r / spec.beta
-            out = _horner(z, _recip_factorials(spec.order or 2)[2:]) * z
-    return _like_input(out, residuals)
+    batch = r[..., None] if spec.variant == "clipped_gumbel" else r
+    out = _variant_values(spec.variant, spec.beta, spec.clip, spec.tau,
+                          _series_coeffs(spec, True), batch)
+    return _like_input(out.reshape(r.shape), residuals)
 
 
 def loss_grads(spec: LossSpec, residuals):
@@ -339,7 +343,7 @@ def loss_grads(spec: LossSpec, residuals):
     r = np.asarray(residuals, dtype=float)
     if spec.variant == "clipped_gumbel":
         r = np.atleast_1d(r)
-    out = _variant_grads(spec.variant, spec.beta, spec.clip, spec.tau, _grad_coeffs(spec), r)
+    out = _variant_grads(spec.variant, spec.beta, spec.clip, spec.tau, _series_coeffs(spec, False), r)
     return _like_input(out, r)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossSpec, _clipped_terms, _row_grads, loss_values
+from .losses import LossSpec, _row_kernel
 from .mdp import DatasetCounts, OfflineDataset, TabularMdp
 
 __all__ = [
@@ -136,7 +136,7 @@ def v_step(
         return v_new, notes
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
-    grads_of = _row_grads(list(loss), len(rows))
+    grads_of = _row_kernel(list(loss), len(rows))
     rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float)
     stopped = np.zeros(k_count, dtype=bool)
 
@@ -190,8 +190,10 @@ def q_step(
     ``q`` (K, S, A) and ``v`` (K, S).
     """
     present = counts.observed
-    sums = np.sum(counts.visits * (counts.mean_reward + gamma * v[..., None, None, :]), axis=-1)
-    means = sums / np.maximum(counts.pair_counts, 1.0)
+    # huge finite tables overflow to infinities here, which the caller's checks catch
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.sum(counts.visits * (counts.mean_reward + gamma * v[..., None, None, :]), axis=-1)
+        means = sums / np.maximum(counts.pair_counts, 1.0)
     q_new = q.astype(float)
     q_new[..., present] = means[..., present]
     return q_new
@@ -202,15 +204,6 @@ def _value_scale_bound(mdp: TabularMdp, loss: LossSpec, factor: float | None) ->
         return math.inf
     reward_span = float(np.max(np.abs(mdp.reward)))
     return factor * (reward_span / (1.0 - mdp.gamma) + loss.beta * math.log(mdp.num_actions + 1) + 1.0)
-
-
-def _dataset_v_loss(loss: LossSpec, residuals: np.ndarray, weights: np.ndarray) -> float:
-    """Row mean of the V loss from the observed pairs' residuals and counts."""
-    if loss.variant == "clipped_gumbel":
-        values = _clipped_terms(residuals, loss.beta, loss.clip)
-    else:
-        values = np.asarray(loss_values(loss, residuals))
-    return float(np.sum(values * weights) / np.sum(weights))
 
 
 def train(mdp: TabularMdp, dataset: OfflineDataset, config: TrainConfig) -> ValueTables:
@@ -248,8 +241,9 @@ def train_many(
     rates = np.array([c.lr_v for c in configs])
     bounds = [_value_scale_bound(mdp, c.loss, c.escape_factor) for c in configs]
     results: list[ValueTables | None] = [None] * len(configs)
-    # row i, iteration j + 1: (max change of V, V loss, Q loss)
-    traces = np.full((len(configs), outer, 3), np.nan)
+    # row i, iteration j + 1: (max change of V, V loss, Q loss); doubled as iterations
+    # run, up to outer, so its size follows them
+    traces = np.full((len(configs), min(outer, 64), 3), np.nan)
     live = np.arange(len(configs))  # the config of each row
     v = np.zeros((len(configs), s_count))
     q = np.zeros((len(configs), s_count, a_count))
@@ -258,40 +252,42 @@ def train_many(
         results[i] = ValueTables(trace=traces[i, :recorded], **fields)
 
     for it in range(1, outer + 1):
+        if it > traces.shape[1]:
+            traces = np.concatenate([traces, np.full_like(traces[:, : outer - it + 1], np.nan)], axis=1)
         q = q_step(q, v, counts, mdp.gamma)
-        v_new, notes = v_step(v, q, counts, [configs[i].loss for i in live], rates[live],
-                              v_steps, mode=v_mode)
+        specs = [configs[i].loss for i in live]
+        v_new, notes = v_step(v, q, counts, specs, rates[live], v_steps, mode=v_mode)
+        # huge finite tables overflow these to +inf, which is what they record
+        with np.errstate(all="ignore"):
+            peak = np.maximum(np.abs(v_new).max(axis=1), np.abs(q).max(axis=(1, 2)))
+            finite = np.isfinite(peak)
+            change = np.abs(v_new - v).max(axis=1)
+            # gathered C-contiguous, so each row sums its pairs in the order a solo fit does
+            residuals = np.ascontiguousarray((q - v_new[:, :, None])[:, present])
+            values = _row_kernel(specs, len(seen_counts), values=True)(residuals)
+            v_loss = (values * seen_counts).sum(axis=1) / seen_counts.sum()
+            # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the
+            # within-cell spread; an empty cell's gap counts as 0, so 0 * inf never forms
+            gaps = counts.mean_reward + mdp.gamma * v_new[:, None, None, :] - q[..., None]
+            gaps[:, ~visited] = 0.0
+            q_loss = (((counts.visits * gaps**2).reshape(len(live), -1).sum(axis=1)
+                       + counts.reward_sq_dev) / len(dataset))
         for row, i in enumerate(live):
-            config, bound, v_row, q_row = configs[i], bounds[i], v_new[row], q[row]
+            tables = dict(v=v_new[row], q=q[row], iterations=it)
             if notes[row]:
                 # the row stopped inside v_step and kept its pre-step V
-                finish(i, it - 1, v=v_row, q=q_row, iterations=it, converged=False,
-                       diverged=True, divergence_note=notes[row])
-                continue
-            finite = np.all(np.isfinite(v_row)) and np.all(np.isfinite(q_row))
-            escaped = finite and (
-                float(np.max(np.abs(v_row))) > bound or float(np.max(np.abs(q_row))) > bound
-            )
-            if not finite or escaped:
-                what = "non-finite" if not finite else f"beyond the value-scale bound {bound:.6g}"
-                finish(i, it - 1, v=v_row, q=q_row, iterations=it, converged=False,
-                       diverged=True, divergence_note=f"table entries went {what} at iteration {it}")
-                continue
-            # huge finite tables overflow these to +inf, which is what they record
-            with np.errstate(all="ignore"):
-                change = float(np.max(np.abs(v_row - v[row])))
-                residuals = (q_row - v_row[:, None])[present]
-                v_loss = _dataset_v_loss(config.loss, residuals, seen_counts)
-                # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the
-                # within-cell spread; an empty cell's gap counts as 0, so 0 * inf never forms
-                gaps = counts.mean_reward + mdp.gamma * v_row - q_row[:, :, None]
-                gaps[~visited] = 0.0
-                q_loss = float((np.sum(counts.visits * gaps**2) + counts.reward_sq_dev)
-                               / len(dataset))
-            traces[i, it - 1] = change, v_loss, q_loss
-            if change < config.tolerance:
-                finish(i, it, v=v_row, q=q_row, iterations=it, converged=True,
-                       final_v_loss=v_loss, final_q_loss=q_loss)
+                finish(i, it - 1, converged=False, diverged=True, divergence_note=notes[row],
+                       **tables)
+            elif not finite[row] or peak[row] > bounds[i]:
+                what = ("non-finite" if not finite[row]
+                        else f"beyond the value-scale bound {bounds[i]:.6g}")
+                finish(i, it - 1, converged=False, diverged=True,
+                       divergence_note=f"table entries went {what} at iteration {it}", **tables)
+            else:
+                traces[i, it - 1] = change[row], v_loss[row], q_loss[row]
+                if change[row] < configs[i].tolerance:
+                    finish(i, it, converged=True, final_v_loss=float(v_loss[row]),
+                           final_q_loss=float(q_loss[row]), **tables)
         keep = np.array([results[i] is None for i in live])
         live, v, q = live[keep], v_new[keep], q[keep]
         if not live.size:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gumbelkit.losses import (
     LossSpec,
-    _row_grads,
+    _row_kernel,
     clipped_gumbel_loss,
     clipped_gumbel_loss_grad,
     expanded_gumbel_loss,
@@ -263,7 +263,8 @@ class TestSpecDispatchOnBatches:
 
 
 class TestRowGrads:
-    def test_each_row_matches_the_scalar_spec_path(self):
+    @pytest.mark.parametrize("values", (False, True))
+    def test_each_row_matches_the_scalar_spec_path(self, values):
         specs = [LossSpec.expanded(n, beta) for n in (2, 4, 8, 12, 20, 200) for beta in (0.5, 2.0)]
         specs += [LossSpec.l2(0.7), LossSpec.gumbel(0.5), LossSpec.gumbel(3.0),
                   LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0), LossSpec.expectile(0.3)]
@@ -275,9 +276,16 @@ class TestRowGrads:
         noise = np.random.default_rng(12).normal(scale=5.0, size=(len(specs), 40))
         residuals = np.hstack([np.tile(edges, (len(specs), 1)), noise])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _row_grads(specs, residuals.shape[1])(residuals)
+            got = _row_kernel(specs, residuals.shape[1], values=values)(residuals)
             for spec, row, out in zip(specs, residuals, got):
-                want = loss_grads(spec, row)
+                if not values:
+                    want = loss_grads(spec, row)
+                elif spec.variant == "clipped_gumbel":
+                    # a clipped row is one batch around its own maximum
+                    assert np.mean(out) == clipped_gumbel_loss(row, spec.beta, spec.clip), spec
+                    continue
+                else:
+                    want = loss_values(spec, row)
                 assert out.tobytes() == want.tobytes(), spec
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,32 @@ class TestTrain:
         np.testing.assert_allclose(out.final_v_loss, v_loss, rtol=1e-12)
 
 
+    def test_trace_memory_follows_the_iterations_run(self):
+        mdp = zoo("bandit1")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["bandit1"])
+        config = TrainConfig(loss=LossSpec.expanded(4), lr_v=0.01, outer_iterations=400)
+        want = train(mdp, data, config)
+        assert want.converged and want.iterations == 87
+        tracemalloc.start()
+        try:
+            got = train(mdp, data, dataclasses.replace(config, outer_iterations=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert_same_tables(got, want)
+
+    def test_overflowing_q_step_raises_no_warning(self):
+        # the suite turns RuntimeWarning into an error, so a leaked overflow fails here
+        mdp = zoo("chain3")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["chain3"])
+        out = train(mdp, data, TrainConfig(loss=LossSpec.expectile(0.7), v_steps=20, lr_v=10.0,
+                                           outer_iterations=30, escape_factor=None))
+        assert out.diverged and out.iterations == 18
+        assert out.divergence_note == "non-finite residual while fitting V at state 0"
+        assert out.trace.shape == (17, 3)
+
+
 class TestConfigValidation:
     def test_mode_names(self):
         with pytest.raises(ValueError):
@@ -369,6 +396,20 @@ class TestTrainMany:
         assert out.diverged
         assert not np.isnan(out.trace).any()
         assert np.isposinf(out.trace[-1, 1:]).all()
+
+    def test_padded_series_row_records_infinity_like_its_solo_fit(self):
+        # the l2 row shares a Horner table padded up to order 20; its last recorded
+        # residuals overflow to infinity once scaled by 1 / beta
+        mdp = zoo("bandit1")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["bandit1"])
+        configs = [TrainConfig(loss=spec, lr_v=1e59, v_steps=5, outer_iterations=30,
+                               escape_factor=None)
+                   for spec in (LossSpec.l2(0.05), LossSpec.expanded(4, 0.05),
+                                LossSpec.expanded(20, 0.05))]
+        stacked = train_many(mdp, data, configs)
+        assert np.isposinf(stacked[0].trace[-1, 1])
+        for out, config in zip(stacked, configs):
+            assert_same_tables(out, train(mdp, data, config))
 
     @pytest.mark.parametrize("field,value", (("v_steps", 20), ("v_mode", "closed_form_n2"),
                                              ("outer_iterations", 10)))

@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="scalar-regression stability grid")
     common(p)
-    p.add_argument("--loss", default=None, help="gumbel, clipped, expanded, or l2")
+    p.add_argument("--loss", default=None, help="gumbel, clipped, expanded, expectile, or l2")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--clip", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)

@@ -122,15 +122,17 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
     return float(out) if np.ndim(template) == 0 else out
 
 
-# Unchecked kernels on float arrays, behind the spec dispatch.
+# Unchecked kernels on float arrays, behind the spec dispatch.  They leave
+# overflow to come out as inf or NaN: their callers hold the np.errstate.
 
 def _horner(z, coeffs):
     """sum_k coeffs[k] * z**(k + 1), by Horner's scheme from the top coefficient.
 
     Each coefficient is a scalar, or a (rows, batch) array zero-padded above
-    each row's own top term.  A zero leading coefficient keeps acc at +-0
-    until the row's top term, where (+-0 + c) * z == c * z, so each row
-    matches its unpadded evaluation bit for bit wherever z is finite.
+    each row's own top term, or a (2, ...) stack of two with z stacked alike.
+    A zero leading coefficient keeps acc at +-0 until the row's top term,
+    where (+-0 + c) * z == c * z, so each row matches its unpadded evaluation
+    bit for bit wherever z is finite.
     """
     acc = coeffs[-1] * z
     for c in coeffs[-2::-1]:
@@ -139,62 +141,65 @@ def _horner(z, coeffs):
     return acc
 
 
-def _series_coeffs(spec: LossSpec, values: bool) -> tuple[float, ...]:
-    """The Horner coefficients of a series variant (l2 is order 2): 1 / j! for
-    j = 2 .. order for the values, 1 / k! for k = 1 .. order - 1 for the
-    gradients; empty for every other variant."""
-    if spec.variant not in ("expanded_gumbel", "l2"):
-        return ()
-    inverse = _recip_factorials(spec.order or 2)
-    return inverse[2:] if values else inverse[1:-1]
+def _series_coeffs(spec: LossSpec, want: tuple[bool, bool]) -> tuple[tuple[float, ...], ...]:
+    """The Horner coefficients of a series variant (l2 is order 2), one sequence per
+    wanted output: 1 / j! for j = 2 .. order for the values, 1 / k! for k = 1 ..
+    order - 1 for the gradients, both order - 1 long; empty for every other variant."""
+    series = spec.variant in ("expanded_gumbel", "l2")
+    inverse = _recip_factorials(spec.order or 2) if series else ()
+    return tuple(c for c, w in zip((inverse[2:], inverse[1:-1]), want) if w)
 
 
-def _variant_grads(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
-    """Per-sample gradients of one kernel with respect to the prediction.
+def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeffs, r):
+    """(values, gradients with respect to the prediction) of one kernel, from one
+    pass over their shared terms; ``want`` flags which to compute, the other is None.
 
-    The parameters are one spec's scalars, or full (rows, batch) arrays for
-    rows that share the kernel (see :func:`_row_kernel`); the residuals come
-    last, so a group's kernel is this function with the rest bound.  Every
-    variant not named here is a series, whose gradient is
-    -(1/beta) sum_k coeffs[k] z**(k+1).
+    The parameters are one spec's scalars, or full (rows, batch) arrays for rows
+    that share the kernel (see :func:`_row_kernel`); the residuals come last, so
+    a kernel is this function with the rest bound.  The clipped terms share their
+    batch's maximum along the last axis, floored at -1.  Every variant not named
+    here is a series: values z * sum_{j=2..n} z**(j-1) / j!, gradients
+    -(1/beta) sum_{k=1..n-1} z**k / k!, both at once from coefficients stacked
+    (values, gradients) on the leading axis (see :func:`_spec_kernel`).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if variant == "gumbel":
-            return (1.0 - np.exp(r / beta)) / beta
-        if variant == "clipped_gumbel":
-            zraw = r / beta
-            z = np.clip(zraw, -clip, clip)
-            m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
-            return np.where(np.abs(zraw) <= clip, np.exp(-m) * (1.0 - np.exp(z)) / beta, 0.0)
-        if variant == "expectile":
-            return -2.0 * np.where(r < 0, 1.0 - tau, tau) * r
-        return -_horner(r / beta, coeffs) / beta
-
-
-def _variant_values(variant: str, beta, clip, tau, coeffs, r) -> np.ndarray:
-    """Per-sample loss values of one kernel, with the parameters of
-    :func:`_variant_grads`.  The clipped terms share their batch's maximum
-    along the last axis, floored at -1.  Every variant not named here is a
-    series, sum_{j=2..n} z**j / j!, evaluated as z * sum_{j=2..n} z**(j-1) / j!.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if variant == "gumbel":
-            z = r / beta
-            return np.exp(z) - z - 1.0
-        if variant == "clipped_gumbel":
-            z = np.clip(r / beta, -clip, clip)
-            m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
-            em = np.exp(-m)
-            return np.exp(z - m) - z * em - em
-        if variant == "expectile":
-            return np.where(r < 0, 1.0 - tau, tau) * r * r
+    values, grads = want
+    if variant == "gumbel":
         z = r / beta
-        # every even-order series is +inf at an infinite z, where a row padded with
-        # zeros above its own order would form 0 * inf = NaN
-        return np.where(np.isinf(z), np.inf, _horner(z, coeffs) * z)
+        e = np.exp(z)
+        return (e - z - 1.0 if values else None), ((1.0 - e) / beta if grads else None)
+    if variant == "clipped_gumbel":
+        zraw = r / beta
+        z = np.clip(zraw, -clip, clip)
+        m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
+        em = np.exp(-m)
+        return (np.exp(z - m) - z * em - em if values else None,
+                np.where(np.abs(zraw) <= clip, em * (1.0 - np.exp(z)) / beta, 0.0) if grads else None)
+    if variant == "expectile":
+        w = np.where(r < 0, 1.0 - tau, tau)
+        return (w * r * r if values else None), (-2.0 * w * r if grads else None)
+    z = r / beta
+    # both run on z stacked twice, where numpy's same-shape loops beat broadcasting
+    acc = _horner(np.array((z, z)), coeffs) if values and grads else [_horner(z, coeffs)]
+    # every even-order series is +inf at an infinite z, where a row padded with
+    # zeros above its own order would form 0 * inf = NaN
+    return (np.where(np.isinf(z), np.inf, acc[0] * z) if values else None,
+            -acc[-1] / beta if grads else None)
 
 
-def _row_kernel(specs: list[LossSpec], batch: int, values: bool = False):
+def _spec_kernel(spec: LossSpec, want: tuple[bool, bool] = (True, True), shape: tuple = ()):
+    """:func:`_variant_terms` of one spec, bound.  One output takes scalar coefficients;
+    both take them stacked and spread to the residuals' ``shape`` up front."""
+    coeffs = _series_coeffs(spec, want)
+    if all(want):
+        stacked = np.array(coeffs).T.reshape(-1, 2, *[1] * len(shape))
+        coeffs = np.broadcast_to(stacked, stacked.shape[:2] + tuple(shape)).copy()
+    else:
+        (coeffs,) = coeffs
+    return partial(_variant_terms, spec.variant, want, spec.beta, spec.clip, spec.tau, coeffs)
+
+
+@lru_cache(maxsize=64)
+def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     """Gradient (or loss-value) function for (rows, batch) residuals whose row i is under specs[i].
 
     Rows that share a kernel are evaluated in one call per group; the series
@@ -207,11 +212,11 @@ def _row_kernel(specs: list[LossSpec], batch: int, values: bool = False):
     for i, spec in enumerate(specs):
         key = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
         groups.setdefault(key, []).append(i)
-    variant_kernel = _variant_values if values else _variant_grads
+    want, side = (values, not values), 1 - values
     parts = []
     for key, members in groups.items():
         group = [specs[i] for i in members]
-        series = [_series_coeffs(spec, values) for spec in group]
+        series = [_series_coeffs(spec, want)[0] for spec in group]
         table = np.zeros((max(map(len, series)), len(group), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
@@ -223,14 +228,14 @@ def _row_kernel(specs: list[LossSpec], batch: int, values: bool = False):
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(variant_kernel, key, beta, clip, tau, coeffs)))
+        parts.append((rows, partial(_variant_terms, key, want, beta, clip, tau, coeffs)))
     if len(parts) == 1:
-        return parts[0][1]
+        return lambda residuals, part=parts[0][1]: part(residuals)[side]
 
     def kernel(residuals: np.ndarray) -> np.ndarray:
         out = np.empty_like(residuals)
         for rows, part in parts:
-            out[rows] = part(residuals[rows])
+            out[rows] = part(residuals[rows])[side]
         return out
 
     return kernel
@@ -263,11 +268,12 @@ def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
     e**(z_i - m) - z_i e**(-m) - e**(-m).  The shared maximum couples the
     samples, hence the mean is taken here and not by the caller.
     """
-    spec = LossSpec.clipped(beta, clip)
     arr = np.atleast_1d(_finite_array(residuals))
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss requires a nonempty batch")
-    return float(np.mean(_variant_values(spec.variant, spec.beta, spec.clip, None, (), arr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _spec_kernel(LossSpec.clipped(beta, clip), (True, False))(arr)[0]
+    return float(np.mean(values))
 
 
 def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
@@ -328,8 +334,8 @@ def loss_values(spec: LossSpec, residuals):
     """
     r = np.asarray(residuals, dtype=float)
     batch = r[..., None] if spec.variant == "clipped_gumbel" else r
-    out = _variant_values(spec.variant, spec.beta, spec.clip, spec.tau,
-                          _series_coeffs(spec, True), batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _spec_kernel(spec, (True, False))(batch)[0]
     return _like_input(out.reshape(r.shape), residuals)
 
 
@@ -343,7 +349,8 @@ def loss_grads(spec: LossSpec, residuals):
     r = np.asarray(residuals, dtype=float)
     if spec.variant == "clipped_gumbel":
         r = np.atleast_1d(r)
-    out = _variant_grads(spec.variant, spec.beta, spec.clip, spec.tau, _series_coeffs(spec, False), r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _spec_kernel(spec, (False, True))(r)[1]
     return _like_input(out, r)
 
 

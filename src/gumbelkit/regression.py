@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import GumbelParams, sample_gumbel
-from .losses import LossSpec, loss_grads, loss_values
+from .losses import LossSpec, _spec_kernel
 from .rng import stream
 
 __all__ = [
@@ -222,7 +222,7 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
     set; the loop ends once no row is live.  Without ``resample_data`` every
     row reads one dataset, drawn from stream slot 0.
     """
-    count, n = config.repeats, config.n_data
+    count, n, batch = config.repeats, config.n_data, config.batch_size
     rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(count)]
     if config.resample_data:
         pool = np.empty((count, n))
@@ -244,21 +244,20 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
     diverged_at = np.zeros(count, dtype=int)
     # the live rows, in order, with their estimates, targets and bounds
     live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
+    kernel = _spec_kernel(config.loss, shape=(count, batch))
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, total, _DRAW_CHUNK):
             if live.size == 0:
                 break
             span = min(_DRAW_CHUNK, total - done)
-            picks = np.stack(
-                [rngs[i].integers(0, n, size=(span, config.batch_size)) for i in live]
-            )
-            picks += (source[live] * n)[:, None, None]
+            picks = np.stack([rngs[i].integers(0, n, size=(span, batch)) for i in live])
+            drawn = flat[picks + (source[live] * n)[:, None, None]]
             for j in range(span):
                 t = done + j + 1
-                residuals = flat[picks[:, j]] - h[:, None]
-                grads = loss_grads(config.loss, residuals)
-                losses = loss_values(config.loss, residuals)
-                step = grads.mean(axis=-1)
+                residuals = drawn[:, j] - h[:, None]
+                losses, grads = kernel(residuals)
+                # numpy's float64 mean, without its Python wrapper
+                step = np.add.reduce(grads, axis=-1) / batch
                 # a row with a non-finite gradient has a non-finite mean, so
                 # the step check covers the gradients
                 ok = (
@@ -268,7 +267,7 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
                 )
                 # a row failing the checks above keeps its estimate; one that
                 # fails the checks below keeps its update
-                h = np.where(ok, h - config.lr * step, h)
+                h = h - config.lr * step if ok.all() else np.where(ok, h - config.lr * step, h)
                 alive = ok & np.isfinite(h) & (np.abs(h) <= bound)
                 if t in cp_index:
                     errors[live[alive], cp_index[t]] = np.abs(h - target)[alive]
@@ -277,7 +276,8 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
                     final_h[live[dead]] = h[dead]
                     diverged_at[live[dead]] = t
                     live, h, target, bound = live[alive], h[alive], target[alive], bound[alive]
-                    picks = picks[alive]
+                    drawn = drawn[alive]
+                    kernel = _spec_kernel(config.loss, shape=(live.size, batch))
                     if live.size == 0:
                         break
     final_h[live] = h
@@ -325,13 +325,14 @@ def full_batch_descent(
 ) -> float:
     """Deterministic gradient descent on the mean loss over the whole dataset."""
     h = init_h
-    arr = np.asarray(data, dtype=float)
+    arr = np.atleast_1d(np.asarray(data, dtype=float))
+    grads_of = _spec_kernel(spec, (False, True))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(updates):
             residuals = arr - h
             if not np.all(np.isfinite(residuals)):
                 return math.inf
-            step = float(np.mean(loss_grads(spec, residuals)))
+            step = float(np.add.reduce(grads_of(residuals)[1], axis=None) / arr.size)
             if not math.isfinite(step):
                 return math.inf
             h = h - lr * step

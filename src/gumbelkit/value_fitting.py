@@ -136,7 +136,7 @@ def v_step(
         return v_new, notes
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
-    grads_of = _row_kernel(list(loss), len(rows))
+    grads_of = _row_kernel(tuple(loss), len(rows))
     rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float)
     stopped = np.zeros(k_count, dtype=bool)
 
@@ -264,7 +264,7 @@ def train_many(
             change = np.abs(v_new - v).max(axis=1)
             # gathered C-contiguous, so each row sums its pairs in the order a solo fit does
             residuals = np.ascontiguousarray((q - v_new[:, :, None])[:, present])
-            values = _row_kernel(specs, len(seen_counts), values=True)(residuals)
+            values = _row_kernel(tuple(specs), len(seen_counts), values=True)(residuals)
             v_loss = (values * seen_counts).sum(axis=1) / seen_counts.sum()
             # row mean of (r + gamma V(s') - Q(s, a))**2: per-cell gaps plus the
             # within-cell spread; an empty cell's gap counts as 0, so 0 * inf never forms

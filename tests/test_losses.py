@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from gumbelkit.losses import (
     LossSpec,
     _row_kernel,
+    _spec_kernel,
     clipped_gumbel_loss,
     clipped_gumbel_loss_grad,
     expanded_gumbel_loss,
     expanded_gumbel_loss_grad,
     expectile_loss,
+    expectile_loss_grad,
     gumbel_loss,
     gumbel_loss_grad,
     loss_curve,
@@ -262,21 +265,27 @@ class TestSpecDispatchOnBatches:
                 np.testing.assert_array_equal(got, fn(spec, row))
 
 
+def edge_residuals(rows):
+    """Signed zeros, subnormals, the far tails and overflow, plus per-row noise."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, -800.0, 800.0, 1e200, -1e200]
+    noise = np.random.default_rng(12).normal(scale=5.0, size=(rows, 40))
+    return np.hstack([np.tile(edges, (rows, 1)), noise])
+
+
+EDGE_SPECS = [LossSpec.expanded(n, beta) for n in (*range(2, 21, 2), 200) for beta in (0.5, 2.0)]
+EDGE_SPECS += [LossSpec.l2(0.7), LossSpec.gumbel(0.5), LossSpec.gumbel(3.0),
+               LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0), LossSpec.expectile(0.3)]
+
+
 class TestRowGrads:
     @pytest.mark.parametrize("values", (False, True))
     def test_each_row_matches_the_scalar_spec_path(self, values):
-        specs = [LossSpec.expanded(n, beta) for n in (2, 4, 8, 12, 20, 200) for beta in (0.5, 2.0)]
-        specs += [LossSpec.l2(0.7), LossSpec.gumbel(0.5), LossSpec.gumbel(3.0),
-                  LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0), LossSpec.expectile(0.3)]
         # interleaved, so each kernel's rows are scattered through the stack
-        order = np.random.default_rng(11).permutation(len(specs))
-        specs = [specs[i] for i in order]
-        # signed zeros, subnormals, the far tails and overflow, plus per-row noise
-        edges = [-0.0, 0.0, 5e-324, -5e-324, -800.0, 800.0, 1e200, -1e200]
-        noise = np.random.default_rng(12).normal(scale=5.0, size=(len(specs), 40))
-        residuals = np.hstack([np.tile(edges, (len(specs), 1)), noise])
+        order = np.random.default_rng(11).permutation(len(EDGE_SPECS))
+        specs = [EDGE_SPECS[i] for i in order]
+        residuals = edge_residuals(len(specs))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _row_kernel(specs, residuals.shape[1], values=values)(residuals)
+            got = _row_kernel(tuple(specs), residuals.shape[1], values=values)(residuals)
             for spec, row, out in zip(specs, residuals, got):
                 if not values:
                     want = loss_grads(spec, row)
@@ -287,6 +296,41 @@ class TestRowGrads:
                 else:
                     want = loss_values(spec, row)
                 assert out.tobytes() == want.tobytes(), spec
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS, ids=lambda spec: f"{spec.variant}{spec.order or ''}")
+    def test_fused_values_and_grads_match_the_separate_paths(self, spec):
+        residuals = edge_residuals(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads = _spec_kernel(spec, shape=residuals.shape)(residuals)
+        for row, got_values, got_grads in zip(residuals, values, grads):
+            assert got_grads.tobytes() == loss_grads(spec, row).tobytes()
+            if spec.variant == "clipped_gumbel":
+                # a clipped row is one batch around its own maximum
+                assert np.mean(got_values) == clipped_gumbel_loss(row, spec.beta, spec.clip)
+            else:
+                assert got_values.tobytes() == loss_values(spec, row).tobytes()
+
+
+class TestNoRuntimeWarnings:
+    """Each public entry point holds its own errstate: overflow comes back as inf
+    or NaN without a RuntimeWarning, with no errstate around the call."""
+
+    def test_entry_points_are_quiet_on_overflowing_inputs(self):
+        r = np.array([-1e200, -800.0, -0.0, 800.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gumbel_loss(800.0, 1.0) == math.inf
+            assert gumbel_loss_grad(800.0, 1.0) == -math.inf
+            assert math.isfinite(clipped_gumbel_loss(r, 1.0, 1000.0))
+            clipped_gumbel_loss_grad(r, 1.0, 1000.0)
+            assert np.isinf(expanded_gumbel_loss(r, 1.0, 8)).any()
+            assert np.isinf(expanded_gumbel_loss_grad(r, 1.0, 8)).any()
+            assert np.isinf(expectile_loss(r, 0.3)).any()
+            assert np.isfinite(expectile_loss_grad(r, 0.3)).all()
+            for spec in EDGE_SPECS:
+                loss_values(spec, r)
+                loss_grads(spec, r)
+                loss_curve(spec, r)
 
 
 class TestLossCurve:

@@ -13,8 +13,7 @@ matched temperature or a smaller step.
 Run:  python demos/regression_stability.py   (about half a minute)
 """
 
-from gumbelkit import LossSpec, RegressionConfig
-from gumbelkit.regression import run_cell
+from gumbelkit import LossSpec, RegressionConfig, run_cell
 
 REPEATS = 20
 SEED = 314

@@ -10,8 +10,7 @@ and the test flags it decisively.
 Run:  python demos/significance_testing.py
 """
 
-from gumbelkit import LossSpec, RegressionConfig, welch_t_test
-from gumbelkit.regression import run_cell
+from gumbelkit import LossSpec, RegressionConfig, run_cell, welch_t_test
 
 
 def final_errors(beta_data, beta_reg, spec, repeats=30, seed=555):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import implied_error_density
-from .losses import LossSpec, loss_values
+from .losses import VARIANTS, LossSpec, loss_values
 from .mdp import behavior_value, generate_dataset, load_mdp, soft_value, zoo, zoo_names
 from .regression import (
     DEFAULT_BETAS,
@@ -36,15 +36,8 @@ from .value_fitting import TrainConfig, train_many
 
 DEFAULT_SEED = 20_240_214
 
-_LOSS_ALIASES = {
-    "gumbel": "gumbel",
-    "clipped": "clipped_gumbel",
-    "clipped_gumbel": "clipped_gumbel",
-    "expanded": "expanded_gumbel",
-    "expanded_gumbel": "expanded_gumbel",
-    "l2": "l2",
-    "expectile": "expectile",
-}
+# the CLI names that differ from a variant's own
+_LOSS_ALIASES = {"clipped": "clipped_gumbel", "expanded": "expanded_gumbel"}
 
 
 def _blank_none(value):
@@ -141,21 +134,17 @@ def _parse_floats(text: str, parser: argparse.ArgumentParser, what: str) -> list
 
 def _build_spec(parser, variant_alias: str, beta: float, order: int | None,
                 clip: float, tau: float) -> LossSpec:
-    variant = _LOSS_ALIASES.get(variant_alias)
-    if variant is None:
-        parser.error(f"unknown loss {variant_alias!r}, expected one of {sorted(set(_LOSS_ALIASES))}")
+    """The named loss, reading --clip only for clipped and --tau only for expectile,
+    whose beta stays 1.0.  A stray --order is LossSpec's error."""
+    variant = _LOSS_ALIASES.get(variant_alias, variant_alias)
+    if variant not in VARIANTS:
+        parser.error(f"unknown loss {variant_alias!r}, expected one of {sorted({*_LOSS_ALIASES, *VARIANTS})}")
+    if variant == "expanded_gumbel" and order is None:
+        parser.error("--order is required for the expanded loss")
+    expectile = variant == "expectile"
     try:
-        if variant == "expanded_gumbel":
-            if order is None:
-                parser.error("--order is required for the expanded loss")
-            return LossSpec.expanded(order, beta=beta)
-        if variant == "clipped_gumbel":
-            return LossSpec.clipped(beta=beta, clip=clip)
-        if variant == "expectile":
-            return LossSpec.expectile(tau)
-        if variant == "l2":
-            return LossSpec.l2(beta=beta)
-        return LossSpec.gumbel(beta=beta)
+        return LossSpec(variant, 1.0 if expectile else beta, order,
+                        clip if variant == "clipped_gumbel" else None, tau if expectile else None)
     except ValueError as err:
         parser.error(str(err))
 
@@ -345,8 +334,6 @@ def _cmd_mdp_train(args, parser) -> int:
             )
         mdp_name = args.mdp
     specs = _loss_specs(args, parser, "train")
-    if args.mode == "closed" and any(not (s.variant == "l2" or s.order == 2) for s in specs):
-        parser.error("--mode closed requires every loss to be the squared one (order 2 or l2)")
 
     size = args.dataset_size
     if size is None:

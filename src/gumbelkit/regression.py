@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_BETAS",
     "generate_data",
     "target_value",
-    "run_repeat",
     "run_cell",
     "run_experiment",
     "full_batch_descent",
@@ -282,15 +281,6 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
                         break
     final_h[live] = h
     return RegressionTrace(config, errors, diverged_at, targets, final_h)
-
-
-def run_repeat(config: RegressionConfig, repeat_index: int) -> RepeatResult:
-    """One SGD run: row ``repeat_index`` of its cell, which computes it as if alone.
-
-    Checkpoint entries record |h - target|; after a divergence the remaining
-    entries stay NaN (missing, not infinite).
-    """
-    return run_cell(dataclasses.replace(config, repeats=repeat_index + 1)).repeats[repeat_index]
 
 
 def run_experiment(

@@ -66,25 +66,18 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, _MAX_CF_ITERATIONS + 1):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and odd half-steps; convergence is tested after the pair
+        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coeff * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + coeff / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise RuntimeError(f"incomplete beta continued fraction did not converge for x={x}, a={a}, b={b}")

@@ -214,6 +214,17 @@ class TestMdpTrainCommand:
         assert "config.clip=0.5" in lines_a and "config.tau=0.7" in lines_a
 
 
+class TestClosedMode:
+    @pytest.mark.parametrize("losses", (["--orders", "4"], ["--orders", "2", "--include", "gumbel"]))
+    def test_a_loss_that_is_not_squared_is_a_usage_error(self, tmp_path, capsys, losses):
+        assert_usage_error(["mdp-train", "--mdp", "bandit1", "--mode", "closed", *losses],
+                           tmp_path / "x.csv", capsys, "closed_form_n2 requires the squared loss")
+
+    def test_every_squared_loss_is_accepted(self, tmp_path):
+        assert run_cli(["mdp-train", "--mdp", "bandit1", "--mode", "closed", "--orders", "2",
+                        "--include", "l2", "--outer", "20", "--out", tmp_path / "x.csv"]) == 0
+
+
 def assert_usage_error(args, out, capsys, message):
     """The run exits 2 with argparse's usage and one error line, no traceback, no CSV."""
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +292,19 @@ class TestBadLossParameters:
     def test_bad_clip_or_tau_is_a_usage_error_even_when_unread(self, tmp_path, capsys, command,
                                                                flag, value):
         assert_usage_error(command + [flag, value], tmp_path / "x.csv", capsys, flag[2:])
+
+    # only the expanded loss reads an order; any other rejects it instead of dropping it
+    @pytest.mark.parametrize("args", (["--loss", "gumbel", "--order", "3"],
+                                      ["--loss", "clipped", "--order", "6"]))
+    def test_order_without_the_expanded_loss_is_a_usage_error(self, tmp_path, capsys, args):
+        assert_usage_error(["regress", "--repeats", "2", "--betas", "1", *args],
+                           tmp_path / "x.csv", capsys, "order is only meaningful")
+
+    def test_order_config_key_without_the_expanded_loss_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("loss = clipped\norder = 6\n")
+        assert_usage_error(["regress", "--config", str(cfg), "--repeats", "2", "--betas", "1"],
+                           tmp_path / "x.csv", capsys, "order is only meaningful")
 
     @pytest.mark.parametrize("line", ("clip = -1", "tau = 5"))
     def test_bad_clip_or_tau_config_key_is_a_usage_error(self, tmp_path, capsys, line):
@@ -372,7 +396,7 @@ FUZZ_RUNS = {
     "regress": (
         ["regress", "--repeats", "2", "--betas", "1", "--data-size", "50"],
         {"--betas": "1", "--lr": "0.02", "--init-h": "1.0", "--escape-factor": "20"},
-        {"--repeats": "2", "--data-size": "50", "--batch-size": "8"},
+        {"--repeats": "2", "--data-size": "50", "--batch-size": "8", "--order": "4"},
     ),
     "mdp-train": (
         ["mdp-train", "--mdp", "bandit1", "--outer", "20", "--v-steps", "5",

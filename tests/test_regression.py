@@ -15,7 +15,6 @@ from gumbelkit.regression import (
     generate_data,
     run_cell,
     run_experiment,
-    run_repeat,
     target_value,
 )
 from gumbelkit.rng import stream
@@ -103,13 +102,13 @@ class TestFullBatchDescent:
 class TestRunRepeat:
     def test_matched_cell_converges(self):
         config = cell_config(2.0, 2.0, LossSpec.gumbel(beta=2.0))
-        result = run_repeat(config, 0)
+        result = run_cell(config).repeats[0]
         assert not result.diverged
         assert result.errors[-1] < result.errors[0]
 
     def test_mismatched_exponential_escapes(self):
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5))
-        result = run_repeat(config, 0)
+        result = run_cell(config).repeats[0]
         assert result.diverged
         assert result.diverged_at is not None
         assert np.isnan(result.errors[-1])
@@ -118,20 +117,20 @@ class TestRunRepeat:
         # without the escape bound the blow-up freezes at a huge finite
         # estimate and the non-finiteness check alone never fires
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5), escape_factor=None)
-        result = run_repeat(config, 0)
+        result = run_cell(config).repeats[0]
         assert not result.diverged
         assert math.isfinite(result.final_h)
         assert result.errors[-1] > 1e3
 
     def test_polynomial_gradients_overflow_at_mismatched_scales(self):
         config = cell_config(10.0, 0.5, LossSpec.expanded(4, beta=0.5), escape_factor=None)
-        result = run_repeat(config, 0)
+        result = run_cell(config).repeats[0]
         assert result.diverged
         assert result.diverged_at is not None and result.diverged_at < 50
 
     def test_missing_checkpoints_after_divergence(self):
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5))
-        result = run_repeat(config, 1)
+        result = run_cell(config).repeats[1]
         recorded = ~np.isnan(result.errors)
         if recorded.any():
             # recorded prefix, missing suffix
@@ -141,21 +140,21 @@ class TestRunRepeat:
 
     def test_bit_identical_reruns(self):
         config = cell_config(2.0, 0.5, LossSpec.gumbel(beta=0.5))
-        a = run_repeat(config, 3)
-        b = run_repeat(config, 3)
+        a = run_cell(config).repeats[3]
+        b = run_cell(config).repeats[3]
         np.testing.assert_array_equal(a.errors, b.errors)
         assert a.final_h == b.final_h
 
     def test_fixed_dataset_shares_target(self):
         config = cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), resample_data=False)
-        r0 = run_repeat(config, 0)
-        r1 = run_repeat(config, 1)
+        r0, r1 = run_cell(config).repeats[:2]
         assert r0.target == r1.target
         assert not np.array_equal(r0.errors, r1.errors)
 
     def test_resampled_targets_differ(self):
         config = cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0))
-        assert run_repeat(config, 0).target != run_repeat(config, 1).target
+        r0, r1 = run_cell(config).repeats[:2]
+        assert r0.target != r1.target
 
 
 def reference_repeat(config, repeat_index):
@@ -273,7 +272,9 @@ class TestArrayLoopMatchesScalarLoop:
             for i, result in enumerate(trace.repeats):
                 assert_matches_reference(result, references[i])
             assert_trace_rows_match(trace, references)
-            assert_matches_reference(run_repeat(config, 3), references[3])
+            # a row does not depend on the cell's size
+            grown = run_cell(dataclasses.replace(config, repeats=4)).repeats[3]
+            assert_matches_reference(grown, references[3])
 
 
 class TestAggregation:

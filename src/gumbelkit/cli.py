@@ -56,18 +56,13 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    # csv writes a float as its repr and any other value but None as its str, and
+    # a Python float's str is its repr: each cell reads as in the manifest
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_manifest(out_path: str, subcommand: str, seed: int, config: dict) -> None:
@@ -81,7 +76,7 @@ def _write_manifest(out_path: str, subcommand: str, seed: int, config: dict) -> 
     entries.update({f"config.{k}": v for k, v in config.items()})
     with open(manifest_path, "w", encoding="utf-8") as fh:
         for key in sorted(entries):
-            fh.write(f"{key}={_fmt(entries[key])}\n")
+            fh.write(f"{key}={entries[key]}\n")
 
 
 def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:

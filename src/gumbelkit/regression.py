@@ -13,7 +13,9 @@ escape test exists because in double precision the exponential loss's blow-up
 overshoots the estimate to a huge but still finite value where the gradient
 flattens to 1/beta and the run freezes; a non-finiteness check alone provably
 never fires at these data scales, while the polynomial losses that do
-overflow reach literal infinities and are caught either way.
+overflow reach literal infinities and are caught either way.  The checks run
+once per chunk of steps, and the rows that fail them are replayed with a check
+on every step (see :func:`run_cell`).
 """
 
 from __future__ import annotations
@@ -220,6 +222,10 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
     compute alone.  A row stops at its first divergence and leaves the live
     set; the loop ends once no row is live.  Without ``resample_data`` every
     row reads one dataset, drawn from stream slot 0.
+
+    Each chunk of steps first runs unchecked, and a row is kept if nothing in
+    its chunk could have failed a check; the other rows are replayed step by
+    step with the checks, so the result is the same as checking every step.
     """
     count, n, batch = config.repeats, config.n_data, config.batch_size
     rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(count)]
@@ -251,34 +257,67 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
             span = min(_DRAW_CHUNK, total - done)
             picks = np.stack([rngs[i].integers(0, n, size=(span, batch)) for i in live])
             drawn = flat[picks + (source[live] * n)[:, None, None]]
+            # fast pass: the updates of the checked loop below, without its checks.
+            # A non-finite residual or loss leaves its running sum non-finite and a
+            # non-finite step leaves the estimate so; path[j] is the estimate after step j
+            sums = np.zeros((live.size, batch))
+            path = np.empty((span, live.size))
+            fast = h
             for j in range(span):
-                t = done + j + 1
-                residuals = drawn[:, j] - h[:, None]
+                residuals = drawn[:, j] - fast[:, None]
                 losses, grads = kernel(residuals)
-                # numpy's float64 mean, without its Python wrapper
-                step = np.add.reduce(grads, axis=-1) / batch
-                # a row with a non-finite gradient has a non-finite mean, so
-                # the step check covers the gradients
-                ok = (
-                    np.isfinite(residuals).all(axis=-1)
-                    & np.isfinite(losses).all(axis=-1)
-                    & np.isfinite(step)
-                )
-                # a row failing the checks above keeps its estimate; one that
-                # fails the checks below keeps its update
-                h = h - config.lr * step if ok.all() else np.where(ok, h - config.lr * step, h)
-                alive = ok & np.isfinite(h) & (np.abs(h) <= bound)
-                if t in cp_index:
-                    errors[live[alive], cp_index[t]] = np.abs(h - target)[alive]
-                if not alive.all():
-                    dead = ~alive
-                    final_h[live[dead]] = h[dead]
-                    diverged_at[live[dead]] = t
-                    live, h, target, bound = live[alive], h[alive], target[alive], bound[alive]
-                    drawn = drawn[alive]
-                    kernel = _spec_kernel(config.loss, shape=(live.size, batch))
-                    if live.size == 0:
-                        break
+                sums += residuals
+                sums += losses
+                fast = np.subtract(fast, config.lr * (np.add.reduce(grads, axis=-1) / batch),
+                                   out=path[j])
+            peak = np.abs(path).max(axis=0)
+            # a row whose sums are finite and whose estimate stayed within its
+            # bound would have passed every check on every step, so the checked
+            # loop would have made these updates and kept it
+            kept = np.isfinite(sums).all(axis=-1) & np.isfinite(peak) & (peak <= bound)
+            for cp, k in cp_index.items():
+                if done < cp <= done + span:
+                    errors[live[kept], k] = np.abs(path[cp - done - 1] - target)[kept]
+            if not kept.all():
+                # replay the other rows from the chunk's start, checking every step;
+                # rows are independent, so the kept rows' updates stand
+                rows = np.flatnonzero(~kept)       # their positions in the live set
+                rh, rtarget, rbound, rdrawn = h[rows], target[rows], bound[rows], drawn[rows]
+                rkernel = _spec_kernel(config.loss, shape=(rows.size, batch))
+                for j in range(span):
+                    t = done + j + 1
+                    residuals = rdrawn[:, j] - rh[:, None]
+                    losses, grads = rkernel(residuals)
+                    # numpy's float64 mean, without its Python wrapper
+                    step = np.add.reduce(grads, axis=-1) / batch
+                    # a row with a non-finite gradient has a non-finite mean, so
+                    # the step check covers the gradients
+                    ok = (
+                        np.isfinite(residuals).all(axis=-1)
+                        & np.isfinite(losses).all(axis=-1)
+                        & np.isfinite(step)
+                    )
+                    # a row failing the checks above keeps its estimate; one that
+                    # fails the checks below keeps its update
+                    rh = np.where(ok, rh - config.lr * step, rh)
+                    alive = ok & np.isfinite(rh) & (np.abs(rh) <= rbound)
+                    if t in cp_index:
+                        errors[live[rows[alive]], cp_index[t]] = np.abs(rh - rtarget)[alive]
+                    if not alive.all():
+                        dead = ~alive
+                        final_h[live[rows[dead]]] = rh[dead]
+                        diverged_at[live[rows[dead]]] = t
+                        rows, rh, rtarget, rbound = rows[alive], rh[alive], rtarget[alive], rbound[alive]
+                        rdrawn = rdrawn[alive]
+                        if rows.size == 0:
+                            break
+                        rkernel = _spec_kernel(config.loss, shape=(rows.size, batch))
+                # a replayed row that lives to the chunk's end passed every check,
+                # so it made the fast pass's updates
+                kept[rows] = True
+                live, target, bound = live[kept], target[kept], bound[kept]
+                kernel = _spec_kernel(config.loss, shape=(live.size, batch))
+            h = fast[kept]
     final_h[live] = h
     return RegressionTrace(config, errors, diverged_at, targets, final_h)
 

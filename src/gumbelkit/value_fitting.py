@@ -149,9 +149,23 @@ def v_step(
         q_seen[row] = 0.0
         v_new[row] = 0.0
 
-    # an overflow lands as an infinity: the checks below catch it on the next
-    # step, and the caller's table check after the last one
     with np.errstate(all="ignore"):
+        # fast pass: the steps of the checked loop below, without its checks.  A
+        # non-finite residual leaves its running sum non-finite, and a non-finite
+        # gradient leaves V so; if neither shows, no row would have stopped
+        sums = np.zeros(bins.shape)
+        for _ in range(steps):
+            residuals = q_seen - v_new.take(bins)
+            sums += residuals
+            state_grad = state_sums(grads_of(residuals))
+            state_grad *= rate
+            v_new -= state_grad
+        if np.isfinite(sums).all() and np.isfinite(v_new).all():
+            return v_new, notes
+        # otherwise replay the call from the input V, checking every step; an
+        # overflow lands as an infinity, which the checks catch on the next step,
+        # and the caller's table check after the last one
+        v_new = v.astype(float)
         for _ in range(steps):
             residuals = q_seen - v_new.take(bins)
             finite = np.isfinite(residuals)

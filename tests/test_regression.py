@@ -276,6 +276,64 @@ class TestArrayLoopMatchesScalarLoop:
             grown = run_cell(dataclasses.replace(config, repeats=4)).repeats[3]
             assert_matches_reference(grown, references[3])
 
+    # Each way a row can fail a chunk's fast pass, so that it is replayed step by
+    # step; the replay must give the scalar loop's rows, and the rows kept beside
+    # it theirs.
+    @staticmethod
+    def assert_matches_scalar_loop(config):
+        trace = run_cell(config)
+        for i, result in enumerate(trace.repeats):
+            assert_matches_reference(result, reference_repeat(config, i))
+        return trace
+
+    # seeds found by search: a row of seed 56 overflows at t = 10, a checkpoint
+    # inside the first chunk, and one of seed 11 at t = 100, the last step of the
+    # first chunk; both cells keep other rows alive past them
+    @pytest.mark.parametrize("seed,step", [(56, 10), (11, 100)])
+    def test_a_row_diverging_inside_or_at_the_end_of_a_chunk(self, seed, step):
+        config = cell_config(
+            2.0, 0.5, LossSpec.expanded(4, beta=0.5), n_data=300, repeats=5,
+            checkpoints=(10, 100, 210), master_seed=seed, stream_key=(3,),
+        )
+        trace = self.assert_matches_scalar_loop(config)
+        assert step in trace.diverged_at and 0 in trace.diverged_at
+
+    # with no escape bound, one check alone stops rows on the last step of a chunk:
+    # over a one-step run nothing else shows the failure
+    @pytest.mark.parametrize("overrides", [
+        # the order-8 loss overflows near z = -2e39, where its gradient does not
+        dict(loss=LossSpec.expanded(8), init_h=2e39),
+        # a residual overflows against data near -1e308, while the clipped loss
+        # and its gradient, 0 past the clip, stay finite
+        dict(loss=LossSpec.clipped(beta=1.0), init_h=1.5e308, beta_data=1e307),
+        # the update overflows the estimate from a finite residual, loss and gradient
+        dict(loss=LossSpec.expectile(0.7), init_h=1e150, lr=1e200),
+    ], ids=["loss", "residual", "estimate"])
+    @pytest.mark.parametrize("checkpoints", [(1,), (10, 100, 210)])
+    def test_one_check_alone_stops_a_row(self, overrides, checkpoints):
+        config = cell_config(**{
+            "beta_data": 2.0, "beta_reg": 1.0, "n_data": 300, "repeats": 3,
+            "checkpoints": checkpoints, "escape_factor": None, "stream_key": (3,), **overrides,
+        })
+        trace = self.assert_matches_scalar_loop(config)
+        assert 1 in trace.diverged_at
+
+    @pytest.mark.parametrize("overrides", [
+        # the residuals are data near -1e307 at this scale, or the estimate near
+        # 1e307 above data near 0: every residual and loss is finite, but a hundred
+        # of them sum past the largest float; the rates move the estimate visibly
+        dict(beta_data=1e307, beta_reg=1e307, loss=LossSpec.gumbel(beta=1e307), lr=1e307),
+        dict(init_h=1e307, beta_reg=0.5, loss=LossSpec.gumbel(beta=0.5), lr=1e300),
+    ], ids=["data", "estimate"])
+    def test_a_residual_sum_that_overflows_replays_to_the_same_rows(self, overrides):
+        config = cell_config(**{
+            "beta_data": 2.0, "n_data": 300, "repeats": 3, "checkpoints": (10, 100, 210),
+            "escape_factor": None, "stream_key": (3,), **overrides,
+        })
+        trace = self.assert_matches_scalar_loop(config)
+        assert trace.diverged_count == 0
+        assert np.all(np.isfinite(trace.errors))
+
 
 class TestAggregation:
     def test_matched_cell_mean_error_decays_through_checkpoints(self):

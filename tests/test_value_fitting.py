@@ -122,6 +122,34 @@ class TestVStep:
                                                    [lr[row]], steps=40)[0][0]
             assert got[row].tobytes() == want.tobytes(), row
 
+    # one check alone stops the last row: the order-8 row's gradient overflows on
+    # the fourth and last step after finite residuals, which only its new V shows;
+    # the clipped row reads an infinite Q whose gradient is 0, which only its
+    # residuals show
+    @pytest.mark.parametrize("spec,lr,note", [
+        (LossSpec.expanded(8, beta=0.3), 3.0, "non-finite gradient while fitting V at state 0 "),
+        (LossSpec.clipped(0.7), 0.05, "non-finite residual while fitting V at state 3"),
+    ], ids=["gradient", "residual"])
+    def test_a_row_that_breaks_late_spares_the_rest(self, spec, lr, note):
+        mdp = zoo("risky5")
+        counts = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"]).counts(5, 2)
+        rng = np.random.default_rng(4)
+        q = rng.normal(size=(7, 5, 2))[[0, 1, 2, 6, 4]]
+        v = rng.normal(size=(7, 5))[[0, 1, 2, 6, 4]]
+        if spec.variant == "clipped_gumbel":
+            q[4, 3, 1] = math.inf
+        else:
+            assert not v_step(v[[4]], q[[4]], counts, [spec], [lr], steps=3)[1][0]
+        specs = [LossSpec.expanded(4), LossSpec.gumbel(0.5), LossSpec.clipped(0.7),
+                 LossSpec.expectile(0.7), spec]
+        rates = [0.05, 0.05, 0.05, 0.05, lr]
+        got, notes = v_step(v, q, counts, specs, rates, steps=4)
+        assert notes[:4] == [""] * 4 and notes[4].startswith(note)
+        assert got[4].tobytes() == v[4].tobytes()
+        for row in range(4):
+            want = v_step(v[[row]], q[[row]], counts, [specs[row]], [rates[row]], steps=4)[0][0]
+            assert got[row].tobytes() == want.tobytes(), row
+
 
 class TestQStep:
     def test_deterministic_transitions_exact(self):

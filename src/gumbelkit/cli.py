@@ -56,6 +56,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _escape_factor(text: str) -> float | None:
+    """The --escape-factor type and config cast: 'none', or a real that RegressionConfig checks."""
+    try:
+        return None if text.lower() == "none" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a real or 'none', got {text!r}") from None
+
+
 def _write_csv(path: str, header, rows) -> None:
     # csv writes a float as its repr and any other value but None as its str, and
     # a Python float's str is its repr: each cell reads as in the manifest
@@ -79,29 +87,31 @@ def _write_manifest(out_path: str, subcommand: str, seed: int, config: dict) -> 
             fh.write(f"{key}={entries[key]}\n")
 
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
+def _parse_reals(text: str, parser: argparse.ArgumentParser, what: str, form: str) -> list[float]:
+    """The finite reals of a colon list shaped like ``form``, such as lo:hi."""
     try:
-        lo_s, hi_s, step_s = text.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+        parts = [float(piece) for piece in text.split(":")]
     except ValueError:
-        parser.error(f"grid must look like lo:hi:step, got {text!r}")
+        parts = []
+    if len(parts) != form.count(":") + 1 or not all(map(math.isfinite, parts)):
+        parser.error(f"{what} must look like {form} with finite parts, got {text!r}")
+    return parts
+
+
+def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
+    lo, hi, step = _parse_reals(text, parser, "grid", "lo:hi:step")
     if step <= 0 or hi < lo:
         parser.error(f"grid must have positive step and hi >= lo, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = lo + step * np.arange(count)
-    if grid.size == 0:
-        parser.error("grid is empty")
-    return grid
+    steps = (hi - lo) / step + 1e-9
+    if not math.isfinite(steps):
+        parser.error(f"grid must have a finite number of points, got {text!r}")
+    return lo + step * np.arange(int(math.floor(steps)) + 1)
 
 
 def _parse_bounds(text: str, parser: argparse.ArgumentParser) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        parser.error(f"bounds must look like lo:hi, got {text!r}")
-    if not hi > lo:
-        parser.error(f"bounds must have hi > lo, got {text!r}")
+    lo, hi = _parse_reals(text, parser, "bounds", "lo:hi")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        parser.error(f"bounds must have hi > lo and a finite span, got {text!r}")
     return lo, hi
 
 
@@ -243,7 +253,7 @@ _REGRESS_SETTINGS = {
     "batch_size": (32, int),
     "init_h": (1.0, float),
     "target": ("minimizer", str),
-    "escape_factor": ("20", str),
+    "escape_factor": (20.0, _escape_factor),
     "fixed_dataset": (False, lambda text: text.lower() in ("1", "true", "yes")),
 }
 
@@ -259,9 +269,10 @@ def _regress_settings(args, parser) -> dict:
     for key, text in file_cfg.items():
         try:
             settings[key] = _REGRESS_SETTINGS[key][1](text)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"config file {args.config!r}: bad value {text!r} for key {key}")
-    settings.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
+    # a flag left out leaves no attribute (the parser's default is SUPPRESS)
+    settings.update({key: value for key, value in vars(args).items() if key in settings})
     return settings
 
 
@@ -270,9 +281,7 @@ def _cmd_regress(args, parser) -> int:
     beta_list = tuple(_parse_floats(cfg["betas"], parser, "betas")) if cfg["betas"] else DEFAULT_BETAS
     if not all(math.isfinite(b) and b > 0 for b in beta_list):
         parser.error(f"betas must be positive finite reals, got {cfg['betas']!r}")
-    escape_raw = cfg["escape_factor"]
-    escape = None if str(escape_raw).lower() == "none" else float(escape_raw)
-
+    escape = cfg["escape_factor"]
     _check_clip_tau(parser, cfg["clip"], cfg["tau"])
     # reference spec at beta 1; run_experiment re-keys beta per cell
     spec = _build_spec(parser, cfg["loss"], 1.0, cfg["order"], cfg["clip"], cfg["tau"])
@@ -478,22 +487,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=20_001)
     p.set_defaults(func=_cmd_err_dist)
 
-    p = sub.add_parser("regress", help="scalar-regression stability grid")
+    # each setting's default is in _REGRESS_SETTINGS, as a --config file may set it
+    p = sub.add_parser("regress", help="scalar-regression stability grid",
+                       argument_default=argparse.SUPPRESS)
     common(p)
-    p.add_argument("--loss", default=None, help="gumbel, clipped, expanded, expectile, or l2")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--betas", default=None, help="comma list for the (beta_data, beta_reg) grid")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--data-size", dest="data_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--init-h", dest="init_h", type=float, default=None)
-    p.add_argument("--target", choices=("minimizer", "logsumexp"), default=None)
-    p.add_argument("--escape-factor", dest="escape_factor", default=None,
+    p.add_argument("--loss", help="gumbel, clipped, expanded, expectile, or l2")
+    p.add_argument("--order", type=int)
+    p.add_argument("--clip", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--betas", help="comma list for the (beta_data, beta_reg) grid")
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--data-size", dest="data_size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--init-h", dest="init_h", type=float)
+    p.add_argument("--target", choices=("minimizer", "logsumexp"))
+    p.add_argument("--escape-factor", dest="escape_factor", type=_escape_factor,
                    help="escape-bound multiple of the data scale, or 'none'")
-    p.add_argument("--fixed-dataset", action="store_true", default=None,
+    p.add_argument("--fixed-dataset", action="store_true",
                    help="reuse one dataset across repeats instead of resampling")
     p.add_argument("--config", default=None, help="key = value file; explicit flags win")
     p.set_defaults(func=_cmd_regress)

@@ -154,13 +154,13 @@ def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeff
     """(values, gradients with respect to the prediction) of one kernel, from one
     pass over their shared terms; ``want`` flags which to compute, the other is None.
 
-    The parameters are one spec's scalars, or full (rows, batch) arrays for rows
-    that share the kernel (see :func:`_row_kernel`); the residuals come last, so
-    a kernel is this function with the rest bound.  The clipped terms share their
-    batch's maximum along the last axis, floored at -1.  Every variant not named
-    here is a series: values z * sum_{j=2..n} z**(j-1) / j!, gradients
-    -(1/beta) sum_{k=1..n-1} z**k / k!, both at once from coefficients stacked
-    (values, gradients) on the leading axis (see :func:`_spec_kernel`).
+    The parameters are the scalars of one spec, or of rows that share them (see
+    :func:`_row_kernel`); the residuals come last, so a kernel is this function
+    with the rest bound.  The clipped terms share their batch's maximum along
+    the last axis, floored at -1.  Every variant not named here is a series:
+    values z * sum_{j=2..n} z**(j-1) / j!, gradients -(1/beta) sum_{k=1..n-1}
+    z**k / k!, both at once from coefficients stacked (values, gradients) on
+    the leading axis (see :func:`_spec_kernel`).
     """
     values, grads = want
     if variant == "gumbel":
@@ -202,33 +202,30 @@ def _spec_kernel(spec: LossSpec, want: tuple[bool, bool] = (True, True), shape: 
 def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     """Gradient (or loss-value) function for (rows, batch) residuals whose row i is under specs[i].
 
-    Rows that share a kernel are evaluated in one call per group; the series
-    variants (expanded and l2) share one Horner pass up to their highest
-    order.  Each row equals ``loss_grads`` (or ``loss_values``, but with a
-    clipped row as one batch) of specs[i] on it, bit for bit wherever
-    residual / beta is finite; where it overflows, both are non-finite.
+    Rows that share a kernel and its scalar parameters are evaluated in one
+    call per group; the series variants (expanded and l2) share one Horner
+    pass up to their highest order.  Each row equals ``loss_grads`` (or
+    ``loss_values``, but with a clipped row as one batch) of specs[i] on it,
+    bit for bit wherever residual / beta is finite; where it overflows, both
+    are non-finite.
     """
-    groups: dict[str, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        key = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
-        groups.setdefault(key, []).append(i)
+        kind = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
+        groups.setdefault((kind, spec.beta, spec.clip, spec.tau), []).append(i)
     want, side = (values, not values), 1 - values
     parts = []
-    for key, members in groups.items():
-        group = [specs[i] for i in members]
-        series = [_series_coeffs(spec, want)[0] for spec in group]
-        table = np.zeros((max(map(len, series)), len(group), 1))
+    for (kind, *params), members in groups.items():
+        series = [_series_coeffs(specs[i], want)[0] for i in members]
+        table = np.zeros((max(map(len, series)), len(members), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
-        # parameters spread to the full (rows, batch) shape up front, since numpy
-        # dispatches same-shape operands faster than broadcast ones; one a
-        # variant lacks (None) comes out NaN and goes unread
-        params = np.array([[spec.beta, spec.clip, spec.tau] for spec in group], dtype=float)
-        beta, clip, tau = np.repeat(params.T[:, :, None], batch, axis=2)
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
+        # spread to the full (rows, batch) shape up front, since numpy dispatches
+        # same-shape operands faster than broadcast ones
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(_variant_terms, key, want, beta, clip, tau, coeffs)))
+        parts.append((rows, partial(_variant_terms, kind, want, *params, coeffs)))
     if len(parts) == 1:
         return lambda residuals, part=parts[0][1]: part(residuals)[side]
 

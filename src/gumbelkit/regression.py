@@ -14,8 +14,8 @@ overshoots the estimate to a huge but still finite value where the gradient
 flattens to 1/beta and the run freezes; a non-finiteness check alone provably
 never fires at these data scales, while the polynomial losses that do
 overflow reach literal infinities and are caught either way.  The checks run
-once per chunk of steps, and the rows that fail them are replayed with a check
-on every step (see :func:`run_cell`).
+once per chunk of steps; a row that fails them is checked step by step from the
+chunk's recorded path to find where it diverged (see :func:`run_cell`).
 """
 
 from __future__ import annotations
@@ -223,9 +223,10 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
     set; the loop ends once no row is live.  Without ``resample_data`` every
     row reads one dataset, drawn from stream slot 0.
 
-    Each chunk of steps first runs unchecked, and a row is kept if nothing in
-    its chunk could have failed a check; the other rows are replayed step by
-    step with the checks, so the result is the same as checking every step.
+    Each chunk of steps runs unchecked and records every row's path.  A row is
+    kept if nothing in its chunk could have failed a check; the path of any
+    other row is checked step by step up to its first failing step, so the
+    result is the same as checking every step.
     """
     count, n, batch = config.repeats, config.n_data, config.batch_size
     rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(count)]
@@ -243,13 +244,14 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
     flat = pool.ravel()
 
     total = config.checkpoints[-1]
-    cp_index = {cp: k for k, cp in enumerate(config.checkpoints)}
     errors = np.full((count, len(config.checkpoints)), np.nan)
     final_h = np.full(count, float(config.init_h))
     diverged_at = np.zeros(count, dtype=int)
     # the live rows, in order, with their estimates, targets and bounds
     live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
     kernel = _spec_kernel(config.loss, shape=(count, batch))
+    # the same kernel for the checks, its coefficients broadcast over any number of rows
+    terms_of = _spec_kernel(config.loss, shape=(1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, total, _DRAW_CHUNK):
             if live.size == 0:
@@ -257,67 +259,54 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
             span = min(_DRAW_CHUNK, total - done)
             picks = np.stack([rngs[i].integers(0, n, size=(span, batch)) for i in live])
             drawn = flat[picks + (source[live] * n)[:, None, None]]
-            # fast pass: the updates of the checked loop below, without its checks.
-            # A non-finite residual or loss leaves its running sum non-finite and a
-            # non-finite step leaves the estimate so; path[j] is the estimate after step j
+            # fast pass: the steps without their checks.  path[j] is the estimate
+            # before step j + 1; a non-finite residual or loss leaves its running
+            # sum non-finite and a non-finite step leaves the estimate so
             sums = np.zeros((live.size, batch))
-            path = np.empty((span, live.size))
-            fast = h
+            path = np.empty((span + 1, live.size))
+            path[0] = h
             for j in range(span):
-                residuals = drawn[:, j] - fast[:, None]
+                residuals = drawn[:, j] - h[:, None]
                 losses, grads = kernel(residuals)
                 sums += residuals
                 sums += losses
-                fast = np.subtract(fast, config.lr * (np.add.reduce(grads, axis=-1) / batch),
-                                   out=path[j])
+                # numpy's float64 mean, without its Python wrapper
+                h = np.subtract(h, config.lr * (np.add.reduce(grads, axis=-1) / batch),
+                                out=path[j + 1])
+            # a row whose sums are finite and whose estimate stayed within its bound
+            # passed every check on every step.  The path of any other row is exact
+            # up to its first failing step, so checking it from the path finds that
+            # step; a row that fails none lives the chunk out
             peak = np.abs(path).max(axis=0)
-            # a row whose sums are finite and whose estimate stayed within its
-            # bound would have passed every check on every step, so the checked
-            # loop would have made these updates and kept it
-            kept = np.isfinite(sums).all(axis=-1) & np.isfinite(peak) & (peak <= bound)
-            for cp, k in cp_index.items():
+            passed = np.isfinite(sums).all(axis=-1) & np.isfinite(peak) & (peak <= bound)
+            rows = np.flatnonzero(~passed)
+            lived = np.full(live.size, span)       # the steps each row passed
+            for j in range(span):
+                if rows.size == 0:
+                    break
+                before, after = path[j, rows], path[j + 1, rows]
+                residuals = drawn[rows, j] - before[:, None]
+                losses, grads = terms_of(residuals)
+                # a row with a non-finite gradient has a non-finite mean, so the
+                # step check covers the gradients
+                ok = np.isfinite(residuals).all(axis=-1) & np.isfinite(losses).all(axis=-1)
+                ok &= np.isfinite(np.add.reduce(grads, axis=-1) / batch)
+                alive = ok & np.isfinite(after) & (np.abs(after) <= bound[rows])
+                # a row failing the step checks keeps its estimate; one that fails
+                # the estimate checks keeps its update
+                dead = rows[~alive]
+                lived[dead] = j
+                final_h[live[dead]] = np.where(ok, after, before)[~alive]
+                diverged_at[live[dead]] = done + j + 1
+                rows = rows[alive]
+            for k, cp in enumerate(config.checkpoints):
                 if done < cp <= done + span:
-                    errors[live[kept], k] = np.abs(path[cp - done - 1] - target)[kept]
+                    reached = lived >= cp - done
+                    errors[live[reached], k] = np.abs(path[cp - done] - target)[reached]
+            kept = lived == span
+            live, h, target, bound = live[kept], path[span, kept], target[kept], bound[kept]
             if not kept.all():
-                # replay the other rows from the chunk's start, checking every step;
-                # rows are independent, so the kept rows' updates stand
-                rows = np.flatnonzero(~kept)       # their positions in the live set
-                rh, rtarget, rbound, rdrawn = h[rows], target[rows], bound[rows], drawn[rows]
-                rkernel = _spec_kernel(config.loss, shape=(rows.size, batch))
-                for j in range(span):
-                    t = done + j + 1
-                    residuals = rdrawn[:, j] - rh[:, None]
-                    losses, grads = rkernel(residuals)
-                    # numpy's float64 mean, without its Python wrapper
-                    step = np.add.reduce(grads, axis=-1) / batch
-                    # a row with a non-finite gradient has a non-finite mean, so
-                    # the step check covers the gradients
-                    ok = (
-                        np.isfinite(residuals).all(axis=-1)
-                        & np.isfinite(losses).all(axis=-1)
-                        & np.isfinite(step)
-                    )
-                    # a row failing the checks above keeps its estimate; one that
-                    # fails the checks below keeps its update
-                    rh = np.where(ok, rh - config.lr * step, rh)
-                    alive = ok & np.isfinite(rh) & (np.abs(rh) <= rbound)
-                    if t in cp_index:
-                        errors[live[rows[alive]], cp_index[t]] = np.abs(rh - rtarget)[alive]
-                    if not alive.all():
-                        dead = ~alive
-                        final_h[live[rows[dead]]] = rh[dead]
-                        diverged_at[live[rows[dead]]] = t
-                        rows, rh, rtarget, rbound = rows[alive], rh[alive], rtarget[alive], rbound[alive]
-                        rdrawn = rdrawn[alive]
-                        if rows.size == 0:
-                            break
-                        rkernel = _spec_kernel(config.loss, shape=(rows.size, batch))
-                # a replayed row that lives to the chunk's end passed every check,
-                # so it made the fast pass's updates
-                kept[rows] = True
-                live, target, bound = live[kept], target[kept], bound[kept]
                 kernel = _spec_kernel(config.loss, shape=(live.size, batch))
-            h = fast[kept]
     final_h[live] = h
     return RegressionTrace(config, errors, diverged_at, targets, final_h)
 

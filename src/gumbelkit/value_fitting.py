@@ -119,14 +119,15 @@ def v_step(
     notes = [""] * k_count
     rows, weights = counts.pair_states, counts.pair_weights
     # row k's pairs fall in bins k * S + state of the flattened table, so one
-    # bincount sums every row and one take gathers every row's V
+    # bincount sums every row and one take gathers every row's V; the first n
+    # rows of bins do the same for a stack of n rows
     bins = rows + s_count * np.arange(k_count)[:, None]
     flat_bins = bins.ravel()
 
     def state_sums(values: np.ndarray) -> np.ndarray:
-        sums = np.bincount(flat_bins, weights=(weights * values).ravel(),
-                           minlength=k_count * s_count)
-        return sums.reshape(k_count, s_count)
+        sums = np.bincount(flat_bins[: values.size], weights=(weights * values).ravel(),
+                           minlength=len(values) * s_count)
+        return sums.reshape(len(values), s_count)
 
     if mode == "closed_form_n2":
         if not all(_is_squared(spec) for spec in loss):
@@ -138,57 +139,52 @@ def v_step(
         raise ValueError(f"unknown v_step mode {mode!r}")
     grads_of = _row_kernel(tuple(loss), len(rows))
     rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float)
-    stopped = np.zeros(k_count, dtype=bool)
-
-    def stop(row: int, note: str) -> None:
-        # the row's Q and V are parked at zero, so its residuals and gradients stay
-        # exact zeros and raise nothing; its bins and its clipped maximum are its
-        # own, so the other rows never read them
-        notes[row] = note
-        stopped[row] = True
-        q_seen[row] = 0.0
-        v_new[row] = 0.0
 
     with np.errstate(all="ignore"):
-        # fast pass: the steps of the checked loop below, without its checks.  A
-        # non-finite residual leaves its running sum non-finite, and a non-finite
-        # gradient leaves V so; if neither shows, no row would have stopped
+        # fast pass, without checks: path[i] is V before step i + 1.  One kernel
+        # call per group of rows; a clipped row takes its max over its own pairs,
+        # and absent states get an exact zero, so they stay untouched
+        path = np.empty((steps + 1, k_count, s_count))
+        path[0] = v_new
         sums = np.zeros(bins.shape)
-        for _ in range(steps):
+        for i in range(steps):
             residuals = q_seen - v_new.take(bins)
             sums += residuals
             state_grad = state_sums(grads_of(residuals))
             state_grad *= rate
-            v_new -= state_grad
-        if np.isfinite(sums).all() and np.isfinite(v_new).all():
+            v_new = np.subtract(v_new, state_grad, out=path[i + 1])
+        v_new = v_new.copy()
+        # a non-finite residual leaves its running sum non-finite, and a non-finite
+        # gradient leaves V so.  The path of a row where either shows is exact up
+        # to the step where it broke, if it did, so only those rows are checked,
+        # step by step from their path.  An overflow of V lands as an infinity,
+        # which the checks catch on the next step, or the caller's table check
+        suspects = np.flatnonzero(~(np.isfinite(sums).all(axis=1) & np.isfinite(v_new).all(axis=1)))
+        if suspects.size == 0:
             return v_new, notes
-        # otherwise replay the call from the input V, checking every step; an
-        # overflow lands as an infinity, which the checks catch on the next step,
-        # and the caller's table check after the last one
-        v_new = v.astype(float)
-        for _ in range(steps):
-            residuals = q_seen - v_new.take(bins)
+        # from here on the stack holds only those rows
+        grads_of = _row_kernel(tuple(loss[k] for k in suspects), len(rows))
+        q_seen, path, bins = q_seen[suspects], path[:, suspects], bins[: suspects.size]
+        unbroken = np.ones(suspects.size, dtype=bool)
+        for i in range(steps):
+            residuals = q_seen - path[i].take(bins)
             finite = np.isfinite(residuals)
-            if not finite.all():
-                for row in np.flatnonzero(~finite.all(axis=1)):
-                    state = int(rows[np.argmin(finite[row])])
-                    stop(row, f"non-finite residual while fitting V at state {state}")
-                    residuals[row] = 0.0
-            # one kernel call per group of rows; a clipped row takes its max over its
-            # own pairs, and absent states get an exact zero, so they stay untouched
-            state_grad = state_sums(grads_of(residuals))
-            finite = np.isfinite(state_grad)
-            if not finite.all():
-                for row in np.flatnonzero(~finite.all(axis=1)):
-                    state = int(np.argmin(finite[row]))
-                    bad = residuals[row][rows == state]
-                    worst = float(bad[np.argmax(np.abs(bad))])
-                    stop(row, f"non-finite gradient while fitting V at state {state} "
-                              f"(residual about {worst:.6g})")
-                    state_grad[row] = 0.0
-            state_grad *= rate
-            v_new -= state_grad
-    v_new[stopped] = v[stopped]
+            for at in np.flatnonzero(unbroken & ~finite.all(axis=1)):
+                state = int(rows[np.argmin(finite[at])])
+                notes[suspects[at]] = f"non-finite residual while fitting V at state {state}"
+                unbroken[at] = False
+            finite = np.isfinite(state_sums(grads_of(residuals)))
+            for at in np.flatnonzero(unbroken & ~finite.all(axis=1)):
+                state = int(np.argmin(finite[at]))
+                bad = residuals[at][rows == state]
+                worst = float(bad[np.argmax(np.abs(bad))])
+                notes[suspects[at]] = (f"non-finite gradient while fitting V at state {state} "
+                                       f"(residual about {worst:.6g})")
+                unbroken[at] = False
+            if not unbroken.any():
+                break
+    broken = suspects[~unbroken]
+    v_new[broken] = v[broken]
     return v_new, notes
 
 

@@ -52,6 +52,17 @@ class TestLossCurveCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("loss-curve", "--grid", "-inf:3:1"),
+    ("loss-curve", "--grid", "0:1e300:1e-300"),   # a finite grid of infinitely many points
+    ("loss-curve", "--grid", "0:3:inf"),
+    ("loss-curve", "--grid", "nan:3:1"),
+    ("err-dist", "--bounds", "-inf:10"),
+])
+def test_non_finite_grid_or_bounds_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    assert_usage_error([command, flag, value], tmp_path / "x.csv", capsys, flag[2:])
+
+
 class TestErrDistCommand:
     def test_order_two_matches_normal_pdf(self, tmp_path):
         out = tmp_path / "dist.csv"
@@ -145,6 +156,30 @@ class TestRegressCommand:
         assert "bad value 'abc' for key order" in err
         assert str(cfg) in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_escape_factor_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["regress", "--escape-factor", "abc", "--out", out])
+        assert exc.value.code == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert "--escape-factor" in line and "'abc'" in line
+        assert not out.exists()
+
+    def test_bad_escape_factor_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("escape_factor = abc\n")
+        assert_usage_error(["regress", "--config", str(cfg)], tmp_path / "x.csv", capsys,
+                           "bad value 'abc' for key escape_factor")
+
+    def test_escape_factor_none_flag_overrides_the_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("escape_factor = 5\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(["regress", "--config", cfg, "--escape-factor", "none", "--betas", "2",
+                        "--repeats", "2", "--data-size", "300", "--out", out]) == 0
+        manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
+        assert "config.escape_factor=none" in manifest
 
     def test_expanded_requires_order(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -340,6 +375,18 @@ class TestCompareCommand:
         with pytest.raises(SystemExit):
             run_cli(["compare", bad, bad, "--out", tmp_path / "c.csv"])
 
+    def test_a_cell_with_one_survivor_is_flagged_insufficient(self, tmp_path):
+        r = tmp_path / "r.csv"
+        run_cli(["regress", "--betas", "2", "--repeats", "1", "--data-size", "300", "--out", r])
+        out = tmp_path / "cmp.csv"
+        assert run_cli(["compare", r, r, "--out", out]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 5
+        for row in rows:
+            assert row["flag"] == "insufficient"
+            assert row["n_a"] == row["n_b"] == "1" and row["mean_a"] == row["mean_b"] != ""
+            assert row["std_a"] == row["t_stat"] == row["p_value"] == ""
+
     def test_fixed_header(self, tmp_path):
         r = tmp_path / "r.csv"
         run_cli(["regress", "--betas", "2", "--repeats", "2", "--data-size", "300", "--out", r])
@@ -389,50 +436,66 @@ class TestSeedHandling:
         assert a.read_bytes() != b.read_bytes()
 
 
-# For each subcommand: a tiny run, the real-valued flags it reads and its count
-# flags, each with a valid value.  The fuzzer gives every flag either that
-# value, a bad one, or leaves it out.
+# For each subcommand: a tiny run, the real-valued flags it reads, its count
+# flags, each with a valid value, and its flags that take a list of parts, each
+# with its separator and a valid value's parts.  The fuzzer gives every flag
+# either that value, a bad one, or leaves it out; a list gets each part valid
+# or drawn from SPECIAL_PARTS.
 FUZZ_RUNS = {
     "regress": (
         ["regress", "--repeats", "2", "--betas", "1", "--data-size", "50"],
         {"--betas": "1", "--lr": "0.02", "--init-h": "1.0", "--escape-factor": "20"},
         {"--repeats": "2", "--data-size": "50", "--batch-size": "8", "--order": "4"},
+        {"--betas": (",", ("0.5", "2"))},
     ),
     "mdp-train": (
         ["mdp-train", "--mdp", "bandit1", "--outer", "20", "--v-steps", "5",
          "--include", "gumbel,clipped,expectile"],
         {"--beta": "1.0", "--lr-v": "0.002", "--tol": "1e-10", "--clip": "7", "--tau": "0.7"},
         {"--outer": "20", "--v-steps": "5", "--dataset-size": "40"},
+        {"--orders": (",", ("2", "4"))},
     ),
     "loss-curve": (
         ["loss-curve", "--include", "gumbel,clipped,expectile"],
         {"--beta": "1.0", "--clip": "7", "--tau": "0.7"},
         {},
+        {"--grid": (":", ("-3", "3", "0.5")), "--orders": (",", ("2", "4"))},
     ),
     "err-dist": (
         ["err-dist", "--points", "11", "--include", "expectile"],
         {"--beta": "1.0", "--clip": "7", "--tau": "0.7"},
         {"--points": "11"},
+        {"--bounds": (":", ("-10", "10")), "--orders": (",", ("2", "4"))},
     ),
 }
+SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300")
 
 
-def fuzzed_flags(reals, counts):
+def fuzzed_flags(reals, counts, lists):
     choices = {flag: st.sampled_from(("0", "-1", "nan", "inf", "1e300", valid))
                for flag, valid in reals.items()}
     choices.update({flag: st.sampled_from(("0", "-1", valid))
                     for flag, valid in {**counts, "--seed": "5"}.items()})
+    for flag, (separator, parts) in lists.items():
+        joined = st.tuples(*(st.sampled_from((part, *SPECIAL_PARTS)) for part in parts))
+        joined = joined.map(separator.join)
+        choices[flag] = choices[flag] | joined if flag in choices else joined
     return st.fixed_dictionaries({flag: st.none() | values for flag, values in choices.items()})
+
+
+def is_bad_part(flag, part):
+    """A part that is not a finite real, or not an integer for --orders."""
+    return part in ("nan", "inf", "-inf") or (flag == "--orders" and part == "1e300")
 
 
 def check_fuzzed_run(command, flags):
     """Run one fuzzed command line and check how it ends.
 
     It exits 0 and writes its CSV, or exits nonzero with exactly one error
-    line and no traceback.  A NaN real value, or a count or seed of -1, is a
-    bad setting, so the exit is 2, a usage error.
+    line and no traceback.  A NaN real value, a count or seed of -1, or a bad
+    part of a list is a bad setting, so the exit is 2, a usage error.
     """
-    base, reals, _ = FUZZ_RUNS[command]
+    base, reals, _, lists = FUZZ_RUNS[command]
     argv = base + [part for flag, value in flags.items() if value is not None
                    for part in (flag, value)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -444,7 +507,10 @@ def check_fuzzed_run(command, flags):
             except SystemExit as exc:
                 code = exc.code
         lines = error_lines(err.getvalue())
-        if any(value == ("nan" if flag in reals else "-1") for flag, value in flags.items()):
+        if any(value == ("nan" if flag in reals else "-1")
+               or flag in lists and any(is_bad_part(flag, part)
+                                        for part in value.split(lists[flag][0]))
+               for flag, value in flags.items() if value is not None):
             assert code == 2, (argv, code, err.getvalue())
         if code == 0:
             assert os.path.exists(out) and not lines, argv
@@ -457,5 +523,5 @@ class TestFuzzedFlags:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_writes_a_csv_or_fails_in_one_line(self, command, data):
-        base, reals, counts = FUZZ_RUNS[command]
-        check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts)))
+        _, reals, counts, lists = FUZZ_RUNS[command]
+        check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts, lists)))

@@ -98,6 +98,18 @@ class TestFullBatchDescent:
         h = full_batch_descent(data, spec, lr=0.02, updates=20_000, init_h=1.0)
         assert abs(h - target_value(data, 2.0)) < 1e-4
 
+    def test_an_estimate_that_overflows_stops_at_the_next_residuals(self):
+        # the first squared step moves the estimate by 1e308 * 10 to -inf, so the
+        # second step's residuals are infinite
+        data = np.full(4, -10.0)
+        assert full_batch_descent(data, LossSpec.l2(), lr=1e308, updates=1) == -math.inf
+        assert full_batch_descent(data, LossSpec.l2(), lr=1e308, updates=2) == math.inf
+
+    def test_an_overflowing_gradient_stops_the_descent(self):
+        # e**1000 overflows, so the mean gradient is -inf from finite residuals
+        h = full_batch_descent(np.array([1000.0]), LossSpec.gumbel(), lr=0.1, updates=1)
+        assert h == math.inf
+
 
 class TestRunRepeat:
     def test_matched_cell_converges(self):
@@ -276,9 +288,9 @@ class TestArrayLoopMatchesScalarLoop:
             grown = run_cell(dataclasses.replace(config, repeats=4)).repeats[3]
             assert_matches_reference(grown, references[3])
 
-    # Each way a row can fail a chunk's fast pass, so that it is replayed step by
-    # step; the replay must give the scalar loop's rows, and the rows kept beside
-    # it theirs.
+    # Each way a row can fail a chunk's fast pass, so that its path is checked step
+    # by step; the check must give the scalar loop's rows, and the rows kept beside
+    # them theirs.
     @staticmethod
     def assert_matches_scalar_loop(config):
         trace = run_cell(config)
@@ -308,7 +320,10 @@ class TestArrayLoopMatchesScalarLoop:
         dict(loss=LossSpec.clipped(beta=1.0), init_h=1.5e308, beta_data=1e307),
         # the update overflows the estimate from a finite residual, loss and gradient
         dict(loss=LossSpec.expectile(0.7), init_h=1e150, lr=1e200),
-    ], ids=["loss", "residual", "estimate"])
+        # the clipped gradient, 1 / beta times a bounded term, overflows at beta
+        # 1e-308, while the clipped loss, which beta does not scale, stays finite
+        dict(loss=LossSpec.clipped(beta=1e-308), beta_data=1e-308, beta_reg=1e-308, init_h=0.0),
+    ], ids=["loss", "residual", "estimate", "gradient"])
     @pytest.mark.parametrize("checkpoints", [(1,), (10, 100, 210)])
     def test_one_check_alone_stops_a_row(self, overrides, checkpoints):
         config = cell_config(**{

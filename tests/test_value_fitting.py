@@ -150,6 +150,36 @@ class TestVStep:
             want = v_step(v[[row]], q[[row]], counts, [specs[row]], [rates[row]], steps=4)[0][0]
             assert got[row].tobytes() == want.tobytes(), row
 
+    def test_residual_sums_that_overflow_from_finite_terms_change_nothing(self):
+        mdp = two_q_bandit((0.0, 1.0))
+        counts = generate_dataset(mdp, "exhaustive", 100).counts(1, 2)
+        # residuals near 1e307 overflow their running sums by step 18, while every
+        # residual and gradient stays finite and V moves by about 1e7 a step
+        q = np.array([[[0.0, 1.0]], [[1e307, 1e307]]])
+        v = np.zeros((2, 1))
+        specs, lr = [LossSpec.l2()] * 2, [0.1, 1e-300]
+        got, notes = v_step(v, q, counts, specs, lr, steps=20)
+        assert notes == ["", ""]
+        assert 1e7 < got[1, 0] < 1e9
+        # two calls of 10 steps keep their sums finite and take the same steps
+        half, half_notes = v_step(v, q, counts, specs, lr, steps=10)
+        want, _ = v_step(half, q, counts, specs, lr, steps=10)
+        assert half_notes == ["", ""]
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_v_that_overflows_on_the_last_step_is_left_to_the_caller(self):
+        mdp = two_q_bandit((0.0, 10.0))
+        counts = generate_dataset(mdp, "exhaustive", 100).counts(1, 2)
+        # the mean gradient is a finite -5, and 1e308 times it overflows
+        v, notes = v_step(np.zeros((1, 1)), np.array([[[0.0, 10.0]]]), counts,
+                          [LossSpec.l2()], [1e308], steps=1)
+        assert notes == [""] and v[0, 0] == math.inf
+        config = TrainConfig(loss=LossSpec.l2(), v_steps=1, lr_v=1e308, outer_iterations=5)
+        (out,) = train_many(mdp, generate_dataset(mdp, "exhaustive", 100), [config])
+        assert out.diverged and out.iterations == 1 and out.v[0] == math.inf
+        assert out.divergence_note == "table entries went non-finite at iteration 1"
+        assert out.trace.shape == (0, 3)
+
 
 class TestQStep:
     def test_deterministic_transitions_exact(self):

@@ -39,6 +39,10 @@ DEFAULT_SEED = 20_240_214
 # the CLI names that differ from a variant's own
 _LOSS_ALIASES = {"clipped": "clipped_gumbel", "expanded": "expanded_gumbel"}
 
+# the most points a loss-curve --grid may hold: it keeps a row per point and loss
+# in memory, and a run at this cap with the four default losses peaks near 120 MB
+MAX_GRID_POINTS = 100_000
+
 
 def _blank_none(value):
     """A CSV or manifest cell: an unset (None) parameter is written empty."""
@@ -103,8 +107,8 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
     if step <= 0 or hi < lo:
         parser.error(f"grid must have positive step and hi >= lo, got {text!r}")
     steps = (hi - lo) / step + 1e-9
-    if not math.isfinite(steps):
-        parser.error(f"grid must have a finite number of points, got {text!r}")
+    if not steps < MAX_GRID_POINTS:
+        parser.error(f"grid must have at most {MAX_GRID_POINTS} points, got {text!r}")
     return lo + step * np.arange(int(math.floor(steps)) + 1)
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "generate_data",
     "target_value",
     "run_cell",
+    "run_cells",
     "run_experiment",
     "full_batch_descent",
     "experiment_rows",
@@ -210,55 +211,83 @@ def _escape_bound(config: RegressionConfig, data: np.ndarray) -> float:
 
 
 # steps of batch indices each live repeat draws at a time: enough to amortize
-# the draw call, small enough that a cell holds only a slice of its index stream
+# the draw call, small enough that a stack holds only a slice of its batches
 _DRAW_CHUNK = 100
+
+# bytes of datasets one stack of cells may hold: run_experiment steps the cells of
+# a grid column together while their datasets fit, and a larger cell runs alone.
+# A step's cost is per call below some tens of rows and per row above, so the
+# 10-repeat cells (0.8 MB each) gain from stacking and 100-repeat ones (8 MB) do not
+_POOL_BUDGET = 4 << 20
+
+# what the cells of one stack must share; everything else is per row
+_SHARED = ("loss", "n_data", "lr", "batch_size", "checkpoints", "resample_data")
 
 
 def run_cell(config: RegressionConfig) -> RegressionTrace:
-    """All repeats of one cell: SGD runs stepped together as rows of (repeats, batch) arrays.
+    """All repeats of one cell: :func:`run_cells` of the cell alone."""
+    return run_cells([config])[0]
 
-    Each row draws its data and then its batch indices from its own stream, and
-    the batch is the last array axis, so a row computes exactly what it would
-    compute alone.  A row stops at its first divergence and leaves the live
-    set; the loop ends once no row is live.  Without ``resample_data`` every
-    row reads one dataset, drawn from stream slot 0.
+
+def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
+    """The repeats of cells that share a loss: SGD runs stepped together as rows of
+    (rows, batch) arrays, one trace per cell.
+
+    The cells must share their loss, ``n_data``, ``lr``, ``batch_size``,
+    ``checkpoints`` and ``resample_data``; each row keeps its own cell's data
+    stream, target, escape bound and start point.  Each row draws its data and
+    then its batch indices from its own stream, and the batch is the last array
+    axis, so a row computes exactly what it would compute alone.  A row stops
+    at its first divergence and leaves the live set; the loop ends once no row
+    is live.  Without ``resample_data`` every row of a cell reads one dataset,
+    drawn from the cell's stream slot 0.
 
     Each chunk of steps runs unchecked and records every row's path.  A row is
     kept if nothing in its chunk could have failed a check; the path of any
     other row is checked step by step up to its first failing step, so the
     result is the same as checking every step.
     """
-    count, n, batch = config.repeats, config.n_data, config.batch_size
-    rngs = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(count)]
-    if config.resample_data:
-        pool = np.empty((count, n))
-        for row, rng in zip(pool, rngs):
-            row[:] = generate_data(config.beta_data, n, rng)
-        source = np.arange(count)              # pool row each repeat reads
-    else:
-        shared = stream(config.master_seed, *config.stream_key, 0)
-        pool = generate_data(config.beta_data, n, shared)[None, :]
-        source = np.zeros(count, dtype=int)
-    targets = np.array([target_value(pool[s], config.beta_reg, config.target) for s in source])
-    bounds = np.array([_escape_bound(config, pool[s]) for s in source])
-    flat = pool.ravel()
+    first = configs[0]
+    for name in _SHARED:
+        if any(getattr(config, name) != getattr(first, name) for config in configs):
+            raise ValueError(f"cells stepped together must share {name}")
+    n, batch, checkpoints = first.n_data, first.batch_size, first.checkpoints
+    rngs, data, targets, bounds, init = [], [], [], [], []
+    for config in configs:
+        cell = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(config.repeats)]
+        if first.resample_data:
+            sets = [generate_data(config.beta_data, n, rng) for rng in cell]
+        else:
+            shared = stream(config.master_seed, *config.stream_key, 0)
+            sets = [generate_data(config.beta_data, n, shared)] * config.repeats
+        rngs += cell
+        data += sets                            # the dataset each repeat reads
+        targets += [target_value(x, config.beta_reg, config.target) for x in sets]
+        bounds += [_escape_bound(config, x) for x in sets]
+        init += [float(config.init_h)] * config.repeats
+    targets, bounds = np.array(targets), np.array(bounds)
 
-    total = config.checkpoints[-1]
-    errors = np.full((count, len(config.checkpoints)), np.nan)
-    final_h = np.full(count, float(config.init_h))
+    count, total = len(rngs), checkpoints[-1]
+    errors = np.full((count, len(checkpoints)), np.nan)
+    final_h = np.array(init)
     diverged_at = np.zeros(count, dtype=int)
     # the live rows, in order, with their estimates, targets and bounds
     live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
-    kernel = _spec_kernel(config.loss, shape=(count, batch))
+    kernel = _spec_kernel(first.loss, shape=(count, batch))
     # the same kernel for the checks, its coefficients broadcast over any number of rows
-    terms_of = _spec_kernel(config.loss, shape=(1, 1))
+    terms_of = _spec_kernel(first.loss, shape=(1, 1))
+    # one buffer for every chunk's batches, so that no chunk allocates its own
+    buffer = np.empty((count, min(_DRAW_CHUNK, total), batch))
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, total, _DRAW_CHUNK):
             if live.size == 0:
                 break
             span = min(_DRAW_CHUNK, total - done)
-            picks = np.stack([rngs[i].integers(0, n, size=(span, batch)) for i in live])
-            drawn = flat[picks + (source[live] * n)[:, None, None]]
+            # drawn[k, j] is live row k's batch for step j + 1, gathered a row at a
+            # time so that each gather stays inside one dataset
+            drawn = buffer[:live.size, :span]
+            for k, i in enumerate(live):
+                drawn[k] = data[i][rngs[i].integers(0, n, size=(span, batch))]
             # fast pass: the steps without their checks.  path[j] is the estimate
             # before step j + 1; a non-finite residual or loss leaves its running
             # sum non-finite and a non-finite step leaves the estimate so
@@ -271,7 +300,7 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
                 sums += residuals
                 sums += losses
                 # numpy's float64 mean, without its Python wrapper
-                h = np.subtract(h, config.lr * (np.add.reduce(grads, axis=-1) / batch),
+                h = np.subtract(h, first.lr * (np.add.reduce(grads, axis=-1) / batch),
                                 out=path[j + 1])
             # a row whose sums are finite and whose estimate stayed within its bound
             # passed every check on every step.  The path of any other row is exact
@@ -299,16 +328,18 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
                 final_h[live[dead]] = np.where(ok, after, before)[~alive]
                 diverged_at[live[dead]] = done + j + 1
                 rows = rows[alive]
-            for k, cp in enumerate(config.checkpoints):
+            for k, cp in enumerate(checkpoints):
                 if done < cp <= done + span:
                     reached = lived >= cp - done
                     errors[live[reached], k] = np.abs(path[cp - done] - target)[reached]
             kept = lived == span
             live, h, target, bound = live[kept], path[span, kept], target[kept], bound[kept]
             if not kept.all():
-                kernel = _spec_kernel(config.loss, shape=(live.size, batch))
+                kernel = _spec_kernel(first.loss, shape=(live.size, batch))
     final_h[live] = h
-    return RegressionTrace(config, errors, diverged_at, targets, final_h)
+    splits = np.cumsum([config.repeats for config in configs])[:-1]
+    cells = zip(*(np.split(a, splits) for a in (errors, diverged_at, targets, final_h)))
+    return [RegressionTrace(config, *cell) for config, cell in zip(configs, cells)]
 
 
 def run_experiment(
@@ -318,23 +349,33 @@ def run_experiment(
     """Run the full (beta_data, beta_reg) grid derived from a base config.
 
     Cells come in sorted (beta_data, beta_reg) order; each cell gets its own
-    stream key so the output is independent of execution order.
+    stream key so the output is independent of execution order.  The cells of
+    one column share a loss and are stepped together by :func:`run_cells`
+    while their datasets fit in ``_POOL_BUDGET`` bytes.
     """
-    cells = []
     grid = sorted(betas)
+    configs = []
     for i, beta_data in enumerate(grid):
         for j, beta_reg in enumerate(grid):
             loss = base.loss
             if loss.variant != "expectile":
                 loss = dataclasses.replace(loss, beta=beta_reg)
-            config = dataclasses.replace(
+            configs.append(dataclasses.replace(
                 base,
                 beta_data=beta_data,
                 beta_reg=beta_reg,
                 loss=loss,
                 stream_key=(i * len(grid) + j,),
-            )
-            cells.append(run_cell(config))
+            ))
+    cells = [None] * len(configs)
+    pool_bytes = (base.repeats if base.resample_data else 1) * base.n_data * 8
+    per_stack = max(1, _POOL_BUDGET // pool_bytes)
+    for j in range(len(grid)):
+        column = range(j, len(configs), len(grid))
+        for s in range(0, len(column), per_stack):
+            stack = column[s:s + per_stack]
+            for k, trace in zip(stack, run_cells([configs[k] for k in stack])):
+                cells[k] = trace
     return cells
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from gumbelkit.cli import build_parser, main
+from gumbelkit.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 
 
 def run_cli(args):
@@ -61,6 +61,17 @@ class TestLossCurveCommand:
 ])
 def test_non_finite_grid_or_bounds_is_a_usage_error(tmp_path, capsys, command, flag, value):
     assert_usage_error([command, flag, value], tmp_path / "x.csv", capsys, flag[2:])
+
+
+@pytest.mark.parametrize("value", ["-3:1e300:0.5", f"0:{MAX_GRID_POINTS}:1"])
+def test_a_grid_over_the_point_cap_is_a_usage_error(tmp_path, capsys, value):
+    assert_usage_error(["loss-curve", "--grid", value], tmp_path / "x.csv", capsys,
+                       f"at most {MAX_GRID_POINTS} points")
+
+
+def test_a_grid_at_the_point_cap_is_parsed():
+    parser = build_parser()
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", parser)) == MAX_GRID_POINTS
 
 
 class TestErrDistCommand:
@@ -488,6 +499,16 @@ def is_bad_part(flag, part):
     return part in ("nan", "inf", "-inf") or (flag == "--orders" and part == "1e300")
 
 
+def is_bad_list(flag, parts):
+    """A list with a bad part, or a grid of finite parts with too many points."""
+    if any(is_bad_part(flag, part) for part in parts):
+        return True
+    if flag != "--grid":
+        return False
+    lo, hi, step = map(float, parts)
+    return hi >= lo and step > 0 and (hi - lo) / step >= MAX_GRID_POINTS
+
+
 def check_fuzzed_run(command, flags):
     """Run one fuzzed command line and check how it ends.
 
@@ -508,8 +529,7 @@ def check_fuzzed_run(command, flags):
                 code = exc.code
         lines = error_lines(err.getvalue())
         if any(value == ("nan" if flag in reals else "-1")
-               or flag in lists and any(is_bad_part(flag, part)
-                                        for part in value.split(lists[flag][0]))
+               or flag in lists and is_bad_list(flag, value.split(lists[flag][0]))
                for flag, value in flags.items() if value is not None):
             assert code == 2, (argv, code, err.getvalue())
         if code == 0:
@@ -525,3 +545,10 @@ class TestFuzzedFlags:
     def test_writes_a_csv_or_fails_in_one_line(self, command, data):
         _, reals, counts, lists = FUZZ_RUNS[command]
         check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts, lists)))
+
+    # lines the fuzzer can draw but its derandomized examples miss
+    @pytest.mark.parametrize("command,flags", [
+        ("loss-curve", {"--grid": "-3:1e300:0.5"}),   # finite parts, 2e300 points
+    ])
+    def test_drawable_lines(self, command, flags):
+        check_fuzzed_run(command, flags)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gumbelkit import regression
 from gumbelkit.losses import LossSpec, loss_grads, loss_values
 from gumbelkit.regression import (
     RegressionConfig,
@@ -14,6 +15,7 @@ from gumbelkit.regression import (
     full_batch_descent,
     generate_data,
     run_cell,
+    run_cells,
     run_experiment,
     target_value,
 )
@@ -348,6 +350,112 @@ class TestArrayLoopMatchesScalarLoop:
         trace = self.assert_matches_scalar_loop(config)
         assert trace.diverged_count == 0
         assert np.all(np.isfinite(trace.errors))
+
+
+def assert_same_trace(trace, alone):
+    """Two traces of one cell, array for array, bit for bit."""
+    assert trace.config == alone.config
+    for name in ("errors", "diverged_at", "targets", "final_h"):
+        a, b = getattr(trace, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestRunCells:
+    @staticmethod
+    def column(loss, **overrides):
+        """Three cells of one beta_reg column, with per-row fields that differ:
+        repeats, start point, target, escape bound and seed."""
+        beta_reg = 0.5 if loss == "expectile" else 2.0
+        spec = ORACLE_LOSSES[loss](beta_reg)
+        return [
+            cell_config(beta_data, beta_reg, spec, n_data=300, checkpoints=(10, 100, 210),
+                        stream_key=(k,), **{**cell, **overrides})
+            for k, (beta_data, cell) in enumerate([
+                (0.5, dict(repeats=3)),
+                (2.0, dict(repeats=5, init_h=-1.5, target="logsumexp")),
+                (10.0, dict(repeats=2, escape_factor=None, master_seed=3)),
+            ])
+        ]
+
+    @pytest.mark.parametrize("resample", [True, False], ids=["resampled", "fixed"])
+    @pytest.mark.parametrize("loss", ["gumbel", "expanded8", "expanded20", "clipped",
+                                      "expectile", "l2"])
+    def test_each_stacked_cell_is_the_cell_run_alone(self, loss, resample):
+        configs = self.column(loss, resample_data=resample)
+        for trace, config in zip(run_cells(configs), configs, strict=True):
+            assert_same_trace(trace, run_cell(config))
+
+    def test_a_cell_that_collapses_in_its_first_chunk_beside_cells_that_live_out(self):
+        spec = LossSpec.gumbel(beta=0.5)
+        configs = [
+            cell_config(beta_data, 0.5, spec, n_data=300, repeats=repeats,
+                        checkpoints=(10, 100, 210), stream_key=(k,))
+            for k, (beta_data, repeats) in enumerate([(0.5, 4), (10.0, 6), (0.5, 3)])
+        ]
+        traces = run_cells(configs)
+        assert traces[1].all_diverged and traces[1].diverged_at.max() <= 100
+        assert traces[0].diverged_count == traces[2].diverged_count == 0
+        for trace, config in zip(traces, configs, strict=True):
+            assert_same_trace(trace, run_cell(config))
+
+    @pytest.mark.parametrize("field,value", [
+        ("loss", LossSpec.expectile(0.3)),
+        ("n_data", 301),
+        ("lr", 0.05),
+        ("batch_size", 16),
+        ("checkpoints", (10, 100, 200)),
+        ("resample_data", False),
+    ])
+    def test_cells_must_share_what_their_rows_step_with(self, field, value):
+        configs = self.column("expectile")
+        configs[1] = dataclasses.replace(configs[1], **{field: value})
+        with pytest.raises(ValueError, match=f"must share {field}"):
+            run_cells(configs)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(repeats=3),
+        dict(repeats=3, resample_data=False),
+        dict(repeats=100, n_data=10_000, checkpoints=(10,)),     # every cell runs alone
+    ], ids=["resampled", "fixed", "over-budget"])
+    def test_experiment_keeps_the_cell_order_of_cells_run_alone(self, overrides):
+        base = cell_config(2.0, 2.0, LossSpec.expanded(8, beta=2.0),
+                           **{"n_data": 300, "checkpoints": (10, 100, 210), **overrides})
+        cells = run_experiment(base, betas=(10.0, 0.5, 2.0))
+        grid = (0.5, 2.0, 10.0)
+        assert [(t.config.beta_data, t.config.beta_reg) for t in cells] == [
+            (d, r) for d in grid for r in grid]
+        assert [t.config.stream_key for t in cells] == [(k,) for k in range(9)]
+        for trace in cells:
+            assert_same_trace(trace, run_cell(trace.config))
+
+    @pytest.mark.parametrize("repeats,resample,sizes", [
+        (10, True, [3] * 3),        # the benchmark's grid: 0.8 MB a cell
+        (20, True, [2, 1] * 3),
+        (100, True, [1] * 9),       # the default grid: 8 MB a cell runs alone
+        (1000, False, [3] * 3),     # one shared dataset a cell
+    ])
+    def test_experiment_stacks_a_column_while_its_pools_fit(self, monkeypatch, repeats,
+                                                            resample, sizes):
+        stacks = []
+        monkeypatch.setattr(regression, "run_cells",
+                            lambda configs: stacks.append(configs) or configs)
+        base = RegressionConfig(2.0, 2.0, LossSpec.gumbel(beta=2.0), repeats=repeats,
+                                resample_data=resample)
+        run_experiment(base)
+        assert [len(stack) for stack in stacks] == sizes
+        assert all(len({c.loss for c in stack}) == 1 for stack in stacks)
+
+
+class TestBatchIndexDraws:
+    @pytest.mark.parametrize("n", [1, 2, 10_000, 2**31 - 1])
+    def test_draws_do_not_depend_on_how_they_are_chunked(self, n):
+        """run_cells draws a row's batch indices a chunk of steps at a time; the
+        scalar loop it must match draws them all at once."""
+        whole = stream(5, 1, 2).integers(0, n, size=(10, 3))
+        rng = stream(5, 1, 2)
+        # odd-sized chunks, so that a 32-bit half of a 64-bit draw crosses a call
+        parts = [rng.integers(0, n, size=(k, 3)) for k in (1, 4, 5)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestAggregation:

@@ -27,6 +27,7 @@ from .regression import (
     DEFAULT_CHECKPOINTS,
     EXPERIMENT_COLUMNS,
     RegressionConfig,
+    cell_bytes,
     experiment_rows,
     run_experiment,
 )
@@ -42,6 +43,12 @@ _LOSS_ALIASES = {"clipped": "clipped_gumbel", "expanded": "expanded_gumbel"}
 # the most points a loss-curve --grid may hold: it keeps a row per point and loss
 # in memory, and a run at this cap with the four default losses peaks near 120 MB
 MAX_GRID_POINTS = 100_000
+
+# the most bytes one regress cell may hold, counted by regression.cell_bytes: its
+# datasets and its rows of a chunk's drawn batches.  A cell over the stack budget
+# runs alone, and a 105.6 MB cell (1000 repeats at the default sizes) peaks at
+# 141 MB resident, so a run at this cap should peak near 1.1 GB
+MAX_CELL_BYTES = 1 << 30
 
 
 def _blank_none(value):
@@ -306,6 +313,10 @@ def _cmd_regress(args, parser) -> int:
         )
     except ValueError as err:
         parser.error(str(err))
+    if cell_bytes(base) > MAX_CELL_BYTES:
+        parser.error(f"a regress cell would hold {cell_bytes(base)} bytes of datasets and drawn "
+                     f"batches, over the cap of {MAX_CELL_BYTES}: lower --repeats, --data-size "
+                     f"or --batch-size")
     cells = run_experiment(base, betas=beta_list)
     _write_csv(args.out, EXPERIMENT_COLUMNS, experiment_rows(cells))
     _write_manifest(
@@ -559,8 +570,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args, parser)
-    except (OSError, ValueError) as err:
-        print(f"gumbelkit: {err}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as err:
+        print(f"gumbelkit: {str(err) or 'out of memory'}", file=sys.stderr)
         sys.exit(1)
 
 

@@ -23,6 +23,7 @@ can observe the blow-up and record it as a divergence event.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -129,10 +130,9 @@ def _horner(z, coeffs):
     """sum_k coeffs[k] * z**(k + 1), by Horner's scheme from the top coefficient.
 
     Each coefficient is a scalar, or a (rows, batch) array zero-padded above
-    each row's own top term, or a (2, ...) stack of two with z stacked alike.
-    A zero leading coefficient keeps acc at +-0 until the row's top term,
-    where (+-0 + c) * z == c * z, so each row matches its unpadded evaluation
-    bit for bit wherever z is finite.
+    each row's own top term.  A zero leading coefficient keeps acc at +-0 until
+    the row's top term, where (+-0 + c) * z == c * z, so each row matches its
+    unpadded evaluation bit for bit wherever z is finite.
     """
     acc = coeffs[-1] * z
     for c in coeffs[-2::-1]:
@@ -141,13 +141,14 @@ def _horner(z, coeffs):
     return acc
 
 
-def _series_coeffs(spec: LossSpec, want: tuple[bool, bool]) -> tuple[tuple[float, ...], ...]:
-    """The Horner coefficients of a series variant (l2 is order 2), one sequence per
-    wanted output: 1 / j! for j = 2 .. order for the values, 1 / k! for k = 1 ..
-    order - 1 for the gradients, both order - 1 long; empty for every other variant."""
-    series = spec.variant in ("expanded_gumbel", "l2")
-    inverse = _recip_factorials(spec.order or 2) if series else ()
-    return tuple(c for c, w in zip((inverse[2:], inverse[1:-1]), want) if w)
+def _series_coeffs(spec: LossSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The Horner coefficients of a series variant (l2 is order 2), for the values
+    and for the gradients: 1 / j! for j = 2 .. order and 1 / k! for k = 1 .. order
+    - 1, both order - 1 long; empty for every other variant."""
+    if spec.variant not in ("expanded_gumbel", "l2"):
+        return (), ()
+    inverse = _recip_factorials(spec.order or 2)
+    return inverse[2:], inverse[1:-1]
 
 
 def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeffs, r):
@@ -155,12 +156,12 @@ def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeff
     pass over their shared terms; ``want`` flags which to compute, the other is None.
 
     The parameters are the scalars of one spec, or of rows that share them (see
-    :func:`_row_kernel`); the residuals come last, so a kernel is this function
-    with the rest bound.  The clipped terms share their batch's maximum along
-    the last axis, floored at -1.  Every variant not named here is a series:
-    values z * sum_{j=2..n} z**(j-1) / j!, gradients -(1/beta) sum_{k=1..n-1}
-    z**k / k!, both at once from coefficients stacked (values, gradients) on
-    the leading axis (see :func:`_spec_kernel`).
+    :func:`_row_kernel`); beta may also be an array of one value per row, shaped
+    to broadcast against the residuals.  The residuals come last, so a kernel is this function with the rest bound.  The
+    clipped terms share their batch's maximum along the last axis, floored at -1.
+    Every variant not named here is a series: values z * sum_{j=2..n} z**(j-1) /
+    j!, gradients -(1/beta) sum_{k=1..n-1} z**k / k!, each by its own Horner pass
+    over the (values, gradients) ``coeffs``.
     """
     values, grads = want
     if variant == "gumbel":
@@ -178,24 +179,45 @@ def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeff
         w = np.where(r < 0, 1.0 - tau, tau)
         return (w * r * r if values else None), (-2.0 * w * r if grads else None)
     z = r / beta
-    # both run on z stacked twice, where numpy's same-shape loops beat broadcasting
-    acc = _horner(np.array((z, z)), coeffs) if values and grads else [_horner(z, coeffs)]
+    value_coeffs, grad_coeffs = coeffs
     # every even-order series is +inf at an infinite z, where a row padded with
     # zeros above its own order would form 0 * inf = NaN
-    return (np.where(np.isinf(z), np.inf, acc[0] * z) if values else None,
-            -acc[-1] / beta if grads else None)
+    return (np.where(np.isinf(z), np.inf, _horner(z, value_coeffs) * z) if values else None,
+            -_horner(z, grad_coeffs) / beta if grads else None)
 
 
-def _spec_kernel(spec: LossSpec, want: tuple[bool, bool] = (True, True), shape: tuple = ()):
-    """:func:`_variant_terms` of one spec, bound.  One output takes scalar coefficients;
-    both take them stacked and spread to the residuals' ``shape`` up front."""
-    coeffs = _series_coeffs(spec, want)
-    if all(want):
-        stacked = np.array(coeffs).T.reshape(-1, 2, *[1] * len(shape))
-        coeffs = np.broadcast_to(stacked, stacked.shape[:2] + tuple(shape)).copy()
-    else:
-        (coeffs,) = coeffs
-    return partial(_variant_terms, spec.variant, want, spec.beta, spec.clip, spec.tau, coeffs)
+def _spec_kernel(spec: LossSpec, want: tuple[bool, bool] = (True, True), beta=None):
+    """:func:`_variant_terms` of one spec, bound; ``beta``, such as an array of per-row
+    temperatures, stands in for the spec's own."""
+    return partial(_variant_terms, spec.variant, want, spec.beta if beta is None else beta,
+                   spec.clip, spec.tau, _series_coeffs(spec))
+
+
+# the natural log of the largest float is 709.8; a series bound held 20 below it
+# leaves room for the rounding of every Horner step
+_SERIES_LOG_LIMIT = 690.0
+
+
+def _loss_finite_within(spec: LossSpec, reach, beta):
+    """Whether the loss is finite at every residual of magnitude at most ``reach``
+    where its gradient is finite, at temperature ``beta`` (arrays compare row by row).
+
+    Rounding is monotone, so |r| <= reach gives |r / beta| <= reach / beta = z.
+    - gumbel: e**z - z - 1 overflows only where e**z does, where the gradient is
+      -inf, so a finite z is enough.
+    - clipped: z - m <= 0 and e**-m <= e, so the loss is at most 1 + e (|z| + 1).
+    - series of order n: every Horner partial sum is at most n max(1, |z|)**n.
+    - expectile: w r**2 with w < 1, which beta does not scale.
+    """
+    if spec.variant == "expectile":
+        return reach < 1e154
+    z = reach / beta
+    if spec.variant == "gumbel":
+        return z < math.inf
+    if spec.variant == "clipped_gumbel":
+        return z < sys.float_info.max / 4
+    n = spec.order or 2
+    return z < math.exp((_SERIES_LOG_LIMIT - math.log(n)) / n)
 
 
 @lru_cache(maxsize=64)
@@ -216,16 +238,17 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     want, side = (values, not values), 1 - values
     parts = []
     for (kind, *params), members in groups.items():
-        series = [_series_coeffs(specs[i], want)[0] for i in members]
+        series = [_series_coeffs(specs[i])[side] for i in members]
         table = np.zeros((max(map(len, series)), len(members), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         # spread to the full (rows, batch) shape up front, since numpy dispatches
-        # same-shape operands faster than broadcast ones
+        # same-shape operands faster than broadcast ones; the table serves as
+        # either output's coefficients, as only the wanted one is read
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(_variant_terms, kind, want, *params, coeffs)))
+        parts.append((rows, partial(_variant_terms, kind, want, *params, (coeffs, coeffs))))
     if len(parts) == 1:
         return lambda residuals, part=parts[0][1]: part(residuals)[side]
 
@@ -289,9 +312,11 @@ def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _recip_factorials(n: int) -> tuple[float, ...]:
     # 1.0 / j! up to 170!, the largest factorial a float holds; beyond it the
-    # exact int quotient, correctly rounded, underflows smoothly to 0.0
+    # exact int quotient, correctly rounded, underflows smoothly to 0.0.  Held as
+    # numpy scalars, which numpy combines with arrays faster than Python floats
     return tuple(
-        1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j) for j in range(n + 1)
+        np.float64(1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j))
+        for j in range(n + 1)
     )
 
 

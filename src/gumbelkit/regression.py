@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import GumbelParams, sample_gumbel
-from .losses import LossSpec, _spec_kernel
+from .losses import LossSpec, _loss_finite_within, _spec_kernel
 from .rng import stream
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "target_value",
     "run_cell",
     "run_cells",
+    "cell_bytes",
     "run_experiment",
     "full_batch_descent",
     "experiment_rows",
@@ -200,28 +201,42 @@ def target_value(data: np.ndarray, beta_reg: float, convention: str = "minimizer
     raise ValueError(f"unknown target convention {convention!r}")
 
 
-def _escape_bound(config: RegressionConfig, data: np.ndarray) -> float:
+def _escape_bound(config: RegressionConfig, data_scale: float) -> float:
     """Estimates beyond this are collapse: the loss minimizer always lies
-    inside the data range, so the bound scales with the data (and the start
-    point, so unusual initializations cannot trip it)."""
+    inside the data range, so the bound scales with the data's largest
+    magnitude (and the start point, so unusual initializations cannot trip it)."""
     if config.escape_factor is None:
         return math.inf
-    scale = max(float(np.max(np.abs(data))), abs(config.init_h))
-    return config.escape_factor * (1.0 + scale)
+    return config.escape_factor * (1.0 + max(data_scale, abs(config.init_h)))
 
 
 # steps of batch indices each live repeat draws at a time: enough to amortize
 # the draw call, small enough that a stack holds only a slice of its batches
 _DRAW_CHUNK = 100
 
-# bytes of datasets one stack of cells may hold: run_experiment steps the cells of
-# a grid column together while their datasets fit, and a larger cell runs alone.
-# A step's cost is per call below some tens of rows and per row above, so the
-# 10-repeat cells (0.8 MB each) gain from stacking and 100-repeat ones (8 MB) do not
-_POOL_BUDGET = 4 << 20
+# bytes one stack of cells may hold, counted by cell_bytes: run_experiment cuts
+# the grid into stacks that fit, and a larger cell runs alone.  A step's cost is
+# per call below some tens of rows and per row above, so the 10-repeat cells
+# (1.06 MB each) gain from stacking and 100-repeat ones (10.6 MB) do not
+_STACK_BUDGET = 6 << 20
 
-# what the cells of one stack must share; everything else is per row
+# what the cells of one stack must share; everything else is per row, the
+# loss's beta too
 _SHARED = ("loss", "n_data", "lr", "batch_size", "checkpoints", "resample_data")
+
+
+def _shared(config: RegressionConfig, name: str):
+    """A field the cells of a stack must agree on; a loss counts without its beta."""
+    value = getattr(config, name)
+    return dataclasses.replace(value, beta=1.0) if name == "loss" else value
+
+
+def cell_bytes(config: RegressionConfig) -> int:
+    """The bytes a cell's rows hold while they step: their datasets (one shared
+    one without ``resample_data``) and their rows of a chunk's drawn batches."""
+    datasets = config.repeats if config.resample_data else 1
+    drawn = config.repeats * min(_DRAW_CHUNK, config.checkpoints[-1]) * config.batch_size
+    return 8 * (datasets * config.n_data + drawn)
 
 
 def run_cell(config: RegressionConfig) -> RegressionTrace:
@@ -230,29 +245,29 @@ def run_cell(config: RegressionConfig) -> RegressionTrace:
 
 
 def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
-    """The repeats of cells that share a loss: SGD runs stepped together as rows of
-    (rows, batch) arrays, one trace per cell.
+    """The repeats of cells whose losses differ at most in beta: SGD runs stepped
+    together as rows of (rows, batch) arrays, one trace per cell.
 
-    The cells must share their loss, ``n_data``, ``lr``, ``batch_size``,
-    ``checkpoints`` and ``resample_data``; each row keeps its own cell's data
-    stream, target, escape bound and start point.  Each row draws its data and
-    then its batch indices from its own stream, and the batch is the last array
-    axis, so a row computes exactly what it would compute alone.  A row stops
+    The cells must share their loss up to its beta, ``n_data``, ``lr``,
+    ``batch_size``, ``checkpoints`` and ``resample_data``; each row keeps its own
+    cell's beta, data stream, target, escape bound and start point.  Each row
+    draws its data and then its batch indices from its own stream, and the batch
+    is the last array axis, so a row computes exactly what it would compute alone.  A row stops
     at its first divergence and leaves the live set; the loop ends once no row
     is live.  Without ``resample_data`` every row of a cell reads one dataset,
     drawn from the cell's stream slot 0.
 
-    Each chunk of steps runs unchecked and records every row's path.  A row is
-    kept if nothing in its chunk could have failed a check; the path of any
-    other row is checked step by step up to its first failing step, so the
-    result is the same as checking every step.
+    Each chunk of steps runs unchecked, computing gradients only, and records
+    every row's path.  A row is kept if nothing in its chunk could have failed a
+    check; the path of any other row is checked step by step up to its first
+    failing step, so the result is the same as checking every step.
     """
     first = configs[0]
     for name in _SHARED:
-        if any(getattr(config, name) != getattr(first, name) for config in configs):
+        if any(_shared(config, name) != _shared(first, name) for config in configs):
             raise ValueError(f"cells stepped together must share {name}")
-    n, batch, checkpoints = first.n_data, first.batch_size, first.checkpoints
-    rngs, data, targets, bounds, init = [], [], [], [], []
+    n, batch, checkpoints, loss = first.n_data, first.batch_size, first.checkpoints, first.loss
+    rngs, data, targets, scales, bounds, init, betas = [], [], [], [], [], [], []
     for config in configs:
         cell = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(config.repeats)]
         if first.resample_data:
@@ -263,19 +278,19 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
         rngs += cell
         data += sets                            # the dataset each repeat reads
         targets += [target_value(x, config.beta_reg, config.target) for x in sets]
-        bounds += [_escape_bound(config, x) for x in sets]
+        cell_scales = [float(np.max(np.abs(x))) for x in sets]
+        scales += cell_scales
+        bounds += [_escape_bound(config, scale) for scale in cell_scales]
         init += [float(config.init_h)] * config.repeats
-    targets, bounds = np.array(targets), np.array(bounds)
+        betas += [config.loss.beta] * config.repeats
+    targets, scales, bounds, betas = map(np.array, (targets, scales, bounds, betas))
 
     count, total = len(rngs), checkpoints[-1]
     errors = np.full((count, len(checkpoints)), np.nan)
     final_h = np.array(init)
     diverged_at = np.zeros(count, dtype=int)
-    # the live rows, in order, with their estimates, targets and bounds
-    live, h, target, bound = np.arange(count), final_h.copy(), targets, bounds
-    kernel = _spec_kernel(first.loss, shape=(count, batch))
-    # the same kernel for the checks, its coefficients broadcast over any number of rows
-    terms_of = _spec_kernel(first.loss, shape=(1, 1))
+    # the live rows, in order, and their estimates
+    live, h = np.arange(count), final_h.copy()
     # one buffer for every chunk's batches, so that no chunk allocates its own
     buffer = np.empty((count, min(_DRAW_CHUNK, total), batch))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,26 +303,27 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             drawn = buffer[:live.size, :span]
             for k, i in enumerate(live):
                 drawn[k] = data[i][rngs[i].integers(0, n, size=(span, batch))]
-            # fast pass: the steps without their checks.  path[j] is the estimate
-            # before step j + 1; a non-finite residual or loss leaves its running
-            # sum non-finite and a non-finite step leaves the estimate so
-            sums = np.zeros((live.size, batch))
+            beta, bound = betas[live, None], bounds[live]
+            # fast pass: the steps without their checks, on gradients alone.
+            # path[j] is the estimate before step j + 1; a non-finite gradient
+            # leaves the estimate non-finite.  beta is spread to the full (rows,
+            # batch) shape, since numpy dispatches same-shape operands faster
+            grads_of = _spec_kernel(loss, (False, True), np.repeat(beta, batch, axis=1))
             path = np.empty((span + 1, live.size))
             path[0] = h
             for j in range(span):
-                residuals = drawn[:, j] - h[:, None]
-                losses, grads = kernel(residuals)
-                sums += residuals
-                sums += losses
+                grads = grads_of(drawn[:, j] - h[:, None])[1]
                 # numpy's float64 mean, without its Python wrapper
                 h = np.subtract(h, first.lr * (np.add.reduce(grads, axis=-1) / batch),
                                 out=path[j + 1])
-            # a row whose sums are finite and whose estimate stayed within its bound
-            # passed every check on every step.  The path of any other row is exact
-            # up to its first failing step, so checking it from the path finds that
-            # step; a row that fails none lives the chunk out
+            # every residual of a chunk is at most its row's reach in magnitude.  A
+            # row whose estimate stayed finite and within its bound, and whose reach
+            # keeps its loss finite, passed every check on every step.  The path of
+            # any other row is exact up to its first failing step, so checking it
+            # from the path finds that step; a row that fails none lives the chunk out
             peak = np.abs(path).max(axis=0)
-            passed = np.isfinite(sums).all(axis=-1) & np.isfinite(peak) & (peak <= bound)
+            passed = np.isfinite(peak) & (peak <= bound)
+            passed &= _loss_finite_within(loss, scales[live] + peak, beta[:, 0])
             rows = np.flatnonzero(~passed)
             lived = np.full(live.size, span)       # the steps each row passed
             for j in range(span):
@@ -315,7 +331,7 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
                     break
                 before, after = path[j, rows], path[j + 1, rows]
                 residuals = drawn[rows, j] - before[:, None]
-                losses, grads = terms_of(residuals)
+                losses, grads = _spec_kernel(loss, beta=beta[rows])(residuals)
                 # a row with a non-finite gradient has a non-finite mean, so the
                 # step check covers the gradients
                 ok = np.isfinite(residuals).all(axis=-1) & np.isfinite(losses).all(axis=-1)
@@ -331,11 +347,9 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             for k, cp in enumerate(checkpoints):
                 if done < cp <= done + span:
                     reached = lived >= cp - done
-                    errors[live[reached], k] = np.abs(path[cp - done] - target)[reached]
+                    errors[live[reached], k] = np.abs(path[cp - done] - targets[live])[reached]
             kept = lived == span
-            live, h, target, bound = live[kept], path[span, kept], target[kept], bound[kept]
-            if not kept.all():
-                kernel = _spec_kernel(first.loss, shape=(live.size, batch))
+            live, h = live[kept], path[span, kept]
     final_h[live] = h
     splits = np.cumsum([config.repeats for config in configs])[:-1]
     cells = zip(*(np.split(a, splits) for a in (errors, diverged_at, targets, final_h)))
@@ -349,9 +363,10 @@ def run_experiment(
     """Run the full (beta_data, beta_reg) grid derived from a base config.
 
     Cells come in sorted (beta_data, beta_reg) order; each cell gets its own
-    stream key so the output is independent of execution order.  The cells of
-    one column share a loss and are stepped together by :func:`run_cells`
-    while their datasets fit in ``_POOL_BUDGET`` bytes.
+    stream key so the output is independent of execution order.  Their losses
+    differ only in beta, so the grid is cut, in cell order, into stacks that
+    :func:`run_cells` steps together, as many cells a stack as fit in
+    ``_STACK_BUDGET`` bytes by :func:`cell_bytes`.
     """
     grid = sorted(betas)
     configs = []
@@ -367,15 +382,10 @@ def run_experiment(
                 loss=loss,
                 stream_key=(i * len(grid) + j,),
             ))
-    cells = [None] * len(configs)
-    pool_bytes = (base.repeats if base.resample_data else 1) * base.n_data * 8
-    per_stack = max(1, _POOL_BUDGET // pool_bytes)
-    for j in range(len(grid)):
-        column = range(j, len(configs), len(grid))
-        for s in range(0, len(column), per_stack):
-            stack = column[s:s + per_stack]
-            for k, trace in zip(stack, run_cells([configs[k] for k in stack])):
-                cells[k] = trace
+    per_stack = max(1, _STACK_BUDGET // cell_bytes(base))
+    cells = []
+    for s in range(0, len(configs), per_stack):
+        cells += run_cells(configs[s:s + per_stack])
     return cells
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from gumbelkit.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
+from gumbelkit import cli
+from gumbelkit.cli import MAX_CELL_BYTES, MAX_GRID_POINTS, _parse_grid, build_parser, main
+from gumbelkit.regression import cell_bytes
 
 
 def run_cli(args):
@@ -72,6 +75,57 @@ def test_a_grid_over_the_point_cap_is_a_usage_error(tmp_path, capsys, value):
 def test_a_grid_at_the_point_cap_is_parsed():
     parser = build_parser()
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", parser)) == MAX_GRID_POINTS
+
+
+# a count past any cap: 1e19 does not fit a 64-bit integer
+OVER_CAP = "10000000000000000000"
+
+
+def refuse_runs():
+    """Fail the test if a regress run starts: a size over the cap must be refused first."""
+    return mock.patch.object(cli, "run_experiment",
+                             side_effect=AssertionError("a regress run started"))
+
+
+class TestRegressByteCap:
+    @pytest.mark.parametrize("flags", [
+        ["--data-size", OVER_CAP],
+        ["--repeats", "100000000", "--data-size", "1"],
+        ["--batch-size", OVER_CAP],
+        ["--repeats", "1", "--batch-size", "1", "--data-size", str(MAX_CELL_BYTES // 8 - 99)],
+    ], ids=["data-size", "repeats", "batch-size", "one-byte-over"])
+    def test_a_cell_over_the_cap_is_a_usage_error(self, tmp_path, capsys, flags):
+        with refuse_runs():
+            assert_usage_error(["regress", *flags], tmp_path / "x.csv", capsys,
+                               f"over the cap of {MAX_CELL_BYTES}")
+
+    def test_a_config_file_over_the_cap_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "over.cfg"
+        config.write_text(f"repeats = {OVER_CAP}\n")
+        with refuse_runs():
+            assert_usage_error(["regress", "--config", config], tmp_path / "x.csv", capsys,
+                               f"over the cap of {MAX_CELL_BYTES}")
+
+    def test_a_cell_at_the_cap_starts(self, tmp_path, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", lambda base, betas: started.append(base) or [])
+        # 8 bytes a datum plus 8 a drawn index, of 100 steps a chunk at one repeat of batch 1
+        size = MAX_CELL_BYTES // 8 - 100
+        assert run_cli(["regress", "--repeats", "1", "--batch-size", "1", "--data-size", size,
+                        "--out", tmp_path / "x.csv"]) == 0
+        assert cell_bytes(started[0]) == MAX_CELL_BYTES
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"),
+         "gumbelkit: Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "gumbelkit: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_a_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        monkeypatch.setattr(cli, "run_experiment", mock.Mock(side_effect=error))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["regress", "--repeats", "2", "--betas", "1", "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 1
+        assert error_lines(capsys.readouterr().err) == [line]
 
 
 class TestErrDistCommand:
@@ -451,7 +505,7 @@ class TestSeedHandling:
 # flags, each with a valid value, and its flags that take a list of parts, each
 # with its separator and a valid value's parts.  The fuzzer gives every flag
 # either that value, a bad one, or leaves it out; a list gets each part valid
-# or drawn from SPECIAL_PARTS.
+# or drawn from SPECIAL_PARTS.  The counts named in CAPPED may also be OVER_CAP.
 FUZZ_RUNS = {
     "regress": (
         ["regress", "--repeats", "2", "--betas", "1", "--data-size", "50"],
@@ -480,12 +534,13 @@ FUZZ_RUNS = {
     ),
 }
 SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300")
+CAPPED = {"regress": ("--repeats", "--data-size", "--batch-size")}
 
 
-def fuzzed_flags(reals, counts, lists):
+def fuzzed_flags(reals, counts, lists, capped=()):
     choices = {flag: st.sampled_from(("0", "-1", "nan", "inf", "1e300", valid))
                for flag, valid in reals.items()}
-    choices.update({flag: st.sampled_from(("0", "-1", valid))
+    choices.update({flag: st.sampled_from(("0", "-1", valid, *[OVER_CAP] * (flag in capped)))
                     for flag, valid in {**counts, "--seed": "5"}.items()})
     for flag, (separator, parts) in lists.items():
         joined = st.tuples(*(st.sampled_from((part, *SPECIAL_PARTS)) for part in parts))
@@ -513,22 +568,24 @@ def check_fuzzed_run(command, flags):
     """Run one fuzzed command line and check how it ends.
 
     It exits 0 and writes its CSV, or exits nonzero with exactly one error
-    line and no traceback.  A NaN real value, a count or seed of -1, or a bad
-    part of a list is a bad setting, so the exit is 2, a usage error.
+    line and no traceback.  A NaN real value, a count or seed of -1, a count
+    over its cap or a bad part of a list is a bad setting, so the exit is 2, a
+    usage error; a run over the cap must not start.
     """
     base, reals, _, lists = FUZZ_RUNS[command]
     argv = base + [part for flag, value in flags.items() if value is not None
                    for part in (flag, value)]
+    over_cap = OVER_CAP in flags.values()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "x.csv")
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), refuse_runs() if over_cap else contextlib.nullcontext():
             try:
                 code = run_cli(argv + ["--out", out])
             except SystemExit as exc:
                 code = exc.code
         lines = error_lines(err.getvalue())
-        if any(value == ("nan" if flag in reals else "-1")
+        if over_cap or any(value == ("nan" if flag in reals else "-1")
                or flag in lists and is_bad_list(flag, value.split(lists[flag][0]))
                for flag, value in flags.items() if value is not None):
             assert code == 2, (argv, code, err.getvalue())
@@ -544,11 +601,14 @@ class TestFuzzedFlags:
     @given(data=st.data())
     def test_writes_a_csv_or_fails_in_one_line(self, command, data):
         _, reals, counts, lists = FUZZ_RUNS[command]
-        check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts, lists)))
+        check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts, lists,
+                                                         CAPPED.get(command, ()))))
 
     # lines the fuzzer can draw but its derandomized examples miss
     @pytest.mark.parametrize("command,flags", [
         ("loss-curve", {"--grid": "-3:1e300:0.5"}),   # finite parts, 2e300 points
+        ("regress", {"--repeats": OVER_CAP, "--data-size": "-1"}),
+        ("regress", {"--batch-size": OVER_CAP, "--lr": "nan"}),
     ])
     def test_drawable_lines(self, command, flags):
         check_fuzzed_run(command, flags)

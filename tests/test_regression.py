@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gumbelkit import regression
-from gumbelkit.losses import LossSpec, loss_grads, loss_values
+from gumbelkit.losses import LossSpec, _loss_finite_within, loss_grads, loss_values
 from gumbelkit.regression import (
     RegressionConfig,
     RegressionTrace,
@@ -429,21 +429,138 @@ class TestRunCells:
             assert_same_trace(trace, run_cell(trace.config))
 
     @pytest.mark.parametrize("repeats,resample,sizes", [
-        (10, True, [3] * 3),        # the benchmark's grid: 0.8 MB a cell
-        (20, True, [2, 1] * 3),
-        (100, True, [1] * 9),       # the default grid: 8 MB a cell runs alone
-        (1000, False, [3] * 3),     # one shared dataset a cell
+        (10, True, [5, 4]),         # the benchmark's grid: 1.06 MB a cell
+        (20, True, [2, 2, 2, 2, 1]),
+        (100, True, [1] * 9),       # the default grid: 10.6 MB a cell runs alone
+        (1000, False, [1] * 9),     # one shared dataset, but 25.6 MB of drawn batches
     ])
-    def test_experiment_stacks_a_column_while_its_pools_fit(self, monkeypatch, repeats,
-                                                            resample, sizes):
+    def test_experiment_cuts_the_grid_into_stacks_that_fit_the_budget(
+            self, monkeypatch, repeats, resample, sizes):
         stacks = []
         monkeypatch.setattr(regression, "run_cells",
                             lambda configs: stacks.append(configs) or configs)
         base = RegressionConfig(2.0, 2.0, LossSpec.gumbel(beta=2.0), repeats=repeats,
                                 resample_data=resample)
-        run_experiment(base)
+        cells = run_experiment(base)
         assert [len(stack) for stack in stacks] == sizes
-        assert all(len({c.loss for c in stack}) == 1 for stack in stacks)
+        assert [c.stream_key for c in cells] == [(k,) for k in range(9)]
+        # the losses of a stack agree up to their beta
+        assert all(len({dataclasses.replace(c.loss, beta=1.0) for c in stack}) == 1
+                   for stack in stacks)
+
+
+def assert_rows_bit_identical(trace, references):
+    """The trace's arrays against the scalar loop's rows, byte for byte."""
+    errors, diverged_at, targets, final_h = zip(*references)
+    expected = {
+        "errors": np.array(errors),
+        "diverged_at": np.array([at or 0 for at in diverged_at]),
+        "targets": np.array(targets),
+        "final_h": np.array(final_h),
+    }
+    for name, want in expected.items():
+        got = getattr(trace, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, got, want)
+
+
+# moderate temperatures, plus the edges where z = residual / beta under- or overflows
+FUZZ_BETAS = st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e300])
+
+
+@st.composite
+def fuzzed_stacks(draw, variant):
+    """One to three cells that share a loss up to beta and their stepping settings,
+    each with its own beta, repeats, seed, start point, escape factor and target."""
+    order = 2 * draw(st.integers(1, 100)) if variant == "expanded_gumbel" else None
+    shared = dict(
+        n_data=draw(st.integers(1, 300)),
+        lr=draw(st.sampled_from([0.02, 0.5])),
+        batch_size=draw(st.integers(1, 64)),
+        # the last spans three chunks of drawn batch indices
+        checkpoints=draw(st.sampled_from([(1,), (3, 100), (10, 100, 210)])),
+        resample_data=draw(st.booleans()),
+    )
+    configs = []
+    for k in range(draw(st.integers(1, 3))):
+        beta = draw(FUZZ_BETAS)
+        loss = LossSpec(variant, order=order,
+                        clip=7.0 if variant == "clipped_gumbel" else None,
+                        tau=0.7 if variant == "expectile" else None,
+                        beta=1.0 if variant == "expectile" else beta)
+        configs.append(RegressionConfig(
+            beta_data=draw(st.floats(1e-3, 1e3)),
+            beta_reg=beta,
+            loss=loss,
+            repeats=draw(st.integers(1, 3)),
+            master_seed=draw(st.integers(0, 2**16)),
+            init_h=draw(st.floats(-5.0, 5.0) | st.floats(-1e300, 1e300)),
+            escape_factor=draw(st.none() | st.floats(0.5, 100.0)),
+            target=draw(st.sampled_from(["minimizer", "logsumexp"])),
+            stream_key=(k,),
+            **shared,
+        ))
+    return configs
+
+
+class TestFuzzedStacks:
+    @pytest.mark.parametrize("variant", ["gumbel", "expanded_gumbel", "l2", "clipped_gumbel",
+                                         "expectile"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_stack_is_the_scalar_loop_row_by_row(self, variant, data):
+        configs = data.draw(fuzzed_stacks(variant))
+        for trace, config in zip(run_cells(configs), configs, strict=True):
+            assert_rows_bit_identical(
+                trace, [reference_repeat(config, i) for i in range(config.repeats)])
+
+
+class TestReachLimit:
+    """The fast pass keeps a row only while its reach, the largest data magnitude
+    plus the chunk's peak |estimate|, bounds every residual inside the region
+    where the loss is finite wherever its gradient is."""
+
+    SPECS = [LossSpec.gumbel(0.5), LossSpec.clipped(0.5), LossSpec.expanded(8, 0.5),
+             LossSpec.expanded(20, 0.5), LossSpec.expanded(200, 0.5), LossSpec.l2(0.5),
+             LossSpec.expectile(0.7)]
+
+    @staticmethod
+    def edge(spec):
+        """The largest reach that passes the limit and the smallest that fails: adjacent
+        floats, found by bisection over the bit patterns, which order as the floats do."""
+        def passes(bits):
+            return bool(_loss_finite_within(spec, np.int64(bits).view(np.float64), spec.beta))
+
+        lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+        with np.errstate(over="ignore"):
+            assert passes(lo) and not passes(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        return float(np.int64(lo).view(np.float64)), float(np.int64(hi).view(np.float64))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.variant}{spec.order or ''}")
+    def test_the_loss_is_finite_up_to_the_largest_passing_reach(self, spec):
+        reach, _ = self.edge(spec)
+        residuals = np.array([-reach, reach])
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads, values = loss_grads(spec, residuals), loss_values(spec, residuals)
+        assert np.isfinite(values[np.isfinite(grads)]).all()
+        assert np.isfinite(values[0])
+
+    # one step from a start at the reach, at a rate that leaves the estimate where it
+    # is, over data within 1e-298 of 0: every residual is -reach.  At gumbel's
+    # smallest failing reach, z = -inf: the loss is inf but the gradient 1 / beta,
+    # so only the reach tells the fast pass that the row diverged
+    @pytest.mark.parametrize("side", ["passes", "fails"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.variant}{spec.order or ''}")
+    def test_a_row_at_the_edge_matches_the_scalar_loop(self, spec, side):
+        reach = self.edge(spec)[side == "fails"]
+        config = cell_config(1e-300, spec.beta, spec, n_data=10, repeats=2, checkpoints=(1,),
+                             lr=1e-300, init_h=reach, escape_factor=None)
+        trace = run_cell(config)
+        assert_rows_bit_identical(trace, [reference_repeat(config, i) for i in range(2)])
+        if spec.variant == "gumbel":
+            assert list(trace.diverged_at) == ([0, 0] if side == "passes" else [1, 1])
 
 
 class TestBatchIndexDraws:

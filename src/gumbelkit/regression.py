@@ -217,7 +217,9 @@ _DRAW_CHUNK = 100
 # bytes one stack of cells may hold, counted by cell_bytes: run_experiment cuts
 # the grid into stacks that fit, and a larger cell runs alone.  A step's cost is
 # per call below some tens of rows and per row above, so the 10-repeat cells
-# (1.06 MB each) gain from stacking and 100-repeat ones (10.6 MB) do not
+# (1.06 MB each) gain from stacking, five to a stack, and 100-repeat ones
+# (10.6 MB) do not.  All nine 10-repeat cells in one stack would step faster
+# still, but they would add 4 MB, a tenth, to the peak resident memory
 _STACK_BUDGET = 6 << 20
 
 # what the cells of one stack must share; everything else is per row, the
@@ -303,12 +305,12 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             drawn = buffer[:live.size, :span]
             for k, i in enumerate(live):
                 drawn[k] = data[i][rngs[i].integers(0, n, size=(span, batch))]
-            beta, bound = betas[live, None], bounds[live]
+            beta, bound = betas[live], bounds[live]
             # fast pass: the steps without their checks, on gradients alone.
             # path[j] is the estimate before step j + 1; a non-finite gradient
             # leaves the estimate non-finite.  beta is spread to the full (rows,
             # batch) shape, since numpy dispatches same-shape operands faster
-            grads_of = _spec_kernel(loss, (False, True), np.repeat(beta, batch, axis=1))
+            grads_of = _spec_kernel(loss, (False, True), np.repeat(beta[:, None], batch, axis=1))
             path = np.empty((span + 1, live.size))
             path[0] = h
             for j in range(span):
@@ -323,7 +325,7 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             # from the path finds that step; a row that fails none lives the chunk out
             peak = np.abs(path).max(axis=0)
             passed = np.isfinite(peak) & (peak <= bound)
-            passed &= _loss_finite_within(loss, scales[live] + peak, beta[:, 0])
+            passed &= _loss_finite_within(loss, scales[live] + peak, beta)
             rows = np.flatnonzero(~passed)
             lived = np.full(live.size, span)       # the steps each row passed
             for j in range(span):
@@ -331,7 +333,7 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
                     break
                 before, after = path[j, rows], path[j + 1, rows]
                 residuals = drawn[rows, j] - before[:, None]
-                losses, grads = _spec_kernel(loss, beta=beta[rows])(residuals)
+                losses, grads = _spec_kernel(loss, beta=beta[rows, None])(residuals)
                 # a row with a non-finite gradient has a non-finite mean, so the
                 # step check covers the gradients
                 ok = np.isfinite(residuals).all(axis=-1) & np.isfinite(losses).all(axis=-1)

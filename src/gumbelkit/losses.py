@@ -157,11 +157,12 @@ def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeff
 
     The parameters are the scalars of one spec, or of rows that share them (see
     :func:`_row_kernel`); beta may also be an array of one value per row, shaped
-    to broadcast against the residuals.  The residuals come last, so a kernel is this function with the rest bound.  The
-    clipped terms share their batch's maximum along the last axis, floored at -1.
-    Every variant not named here is a series: values z * sum_{j=2..n} z**(j-1) /
-    j!, gradients -(1/beta) sum_{k=1..n-1} z**k / k!, each by its own Horner pass
-    over the (values, gradients) ``coeffs``.
+    to broadcast against the residuals.  The residuals come last, so a kernel is
+    this function with the rest bound.  The clipped terms share their batch's
+    maximum along the last axis, floored at -1.  Every variant not named here is
+    a series: values z * sum_{j=2..n} z**(j-1) / j!, gradients -(1/beta)
+    sum_{k=1..n-1} z**k / k!, each by its own Horner pass over the (values,
+    gradients) ``coeffs``.
     """
     values, grads = want
     if variant == "gumbel":
@@ -205,7 +206,8 @@ def _loss_finite_within(spec: LossSpec, reach, beta):
     Rounding is monotone, so |r| <= reach gives |r / beta| <= reach / beta = z.
     - gumbel: e**z - z - 1 overflows only where e**z does, where the gradient is
       -inf, so a finite z is enough.
-    - clipped: z - m <= 0 and e**-m <= e, so the loss is at most 1 + e (|z| + 1).
+    - clipped: z - m <= 0 and e**-m <= e, so the loss is at most 1 + e (|z| + 1),
+      finite below a quarter of the largest float.
     - series of order n: every Horner partial sum is at most n max(1, |z|)**n.
     - expectile: w r**2 with w < 1, which beta does not scale.
     """

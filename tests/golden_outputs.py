@@ -1,10 +1,11 @@
-"""Golden sha256 digests of small CLI runs, and the tool that records them.
+"""Golden sha256 digests of small CLI runs and of the demo printouts, and the
+tool that records them.
 
 Each run writes a CSV and its manifest; ``golden_outputs.json`` holds the
-sha256 of both for every run in ``RUNS``, with the numpy version and CPU
-features they were recorded under.  numpy's SIMD kernels may round
-differently elsewhere, so ``test_golden_outputs.py`` compares only on a
-matching machine.
+sha256 of both for every run in ``RUNS``, and of each demo's stdout, with the
+numpy version and CPU features they were recorded under.  numpy's SIMD kernels
+may round differently elsewhere, so ``test_golden_outputs.py`` and
+``test_demos.py`` compare only on a matching machine.
 
     python tests/golden_outputs.py --update     # rewrite golden_outputs.json
 """
@@ -15,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +24,8 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # flag sets of the regress grid, each run at 1 and at 10 repeats
 REGRESS_FLAGS = {
@@ -43,6 +47,8 @@ RUNS = {
        for repeats in (1, 10) for flags, argv in REGRESS_FLAGS.items()},
     "compare": ["compare", "regress-r10-gumbel.csv", "regress-r10-order8.csv"],
     "mdp-train": ["mdp-train"],
+    "mdp-train-bandit1-all": ["mdp-train", "--mdp", "bandit1",
+                              "--include", "gumbel,clipped,expectile,l2"],
     "loss-curve": ["loss-curve"],
     "err-dist": ["err-dist"],
 }
@@ -57,9 +63,34 @@ def machine() -> dict:
     return {"numpy": np.__version__, "cpu_features": dict(sorted(__cpu_features__.items()))}
 
 
+def machine_mismatch(recorded: dict) -> str | None:
+    """Why digests recorded under ``recorded`` cannot be compared here, or None."""
+    here = machine()
+    for key in ("numpy", "cpu_features"):
+        if here[key] != recorded[key]:
+            return (f"golden digests were recorded under another {key}: "
+                    f"{recorded[key]!r}, here {here[key]!r}")
+    return None
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """One demo in a fresh interpreter, with numpy's runtime warnings and
+    deprecations as errors; its output comes back as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def stdout_digest(done: subprocess.CompletedProcess) -> str:
+    return hashlib.sha256(done.stdout.encode()).hexdigest()
 
 
 def run_all() -> dict:
@@ -83,12 +114,19 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true", help=f"rewrite {GOLDEN.name}")
     args = parser.parse_args(argv)
     digests = run_all()
+    demos = {}
+    for demo in DEMOS:
+        done = run_demo(demo)
+        if done.returncode != 0:
+            raise RuntimeError(f"demo {demo.stem} failed:\n{done.stderr}")
+        demos[demo.stem] = stdout_digest(done)
     if args.update:
-        GOLDEN.write_text(json.dumps({**machine(), "runs": digests}, indent=1) + "\n")
-        print(f"wrote {len(digests)} runs to {GOLDEN}")
+        GOLDEN.write_text(json.dumps({**machine(), "runs": digests, "demos": demos}, indent=1) + "\n")
+        print(f"wrote {len(digests)} runs and {len(demos)} demos to {GOLDEN}")
         return 0
-    golden = json.loads(GOLDEN.read_text())["runs"]
-    changed = sorted(name for name in RUNS if golden.get(name) != digests[name])
+    golden = json.loads(GOLDEN.read_text())
+    changed = sorted(name for name in RUNS if golden["runs"].get(name) != digests[name])
+    changed += sorted(f"demo {name}" for name in demos if golden["demos"].get(name) != demos[name])
     for name in changed:
         print(f"changed: {name}")
     return 1 if changed else 0

@@ -1,27 +1,31 @@
-"""Each demo runs to completion with numpy's runtime warnings and deprecations as errors."""
+"""Each demo runs to completion with numpy's runtime warnings and deprecations as
+errors, and prints exactly its golden output."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from golden_outputs import DEMOS, GOLDEN, machine_mismatch, run_demo, stdout_digest
+
+RECORDED = json.loads(GOLDEN.read_text())
 
 
 def test_all_five_demos_are_found():
     assert len(DEMOS) == 5
 
 
+def test_every_demo_is_recorded():
+    assert sorted(RECORDED["demos"]) == [demo.stem for demo in DEMOS]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    # checked here, so that no demo runs twice
+    mismatch = machine_mismatch(RECORDED)
+    if mismatch:
+        pytest.skip(f"ran cleanly; {mismatch}")
+    assert stdout_digest(done) == RECORDED["demos"][demo.stem], \
+        f"{demo.stem}: rerun golden_outputs.py --update"

@@ -4,18 +4,16 @@ import json
 
 import pytest
 
-from golden_outputs import GOLDEN, RUNS, machine, run_all
+from golden_outputs import GOLDEN, RUNS, machine_mismatch, run_all
 
 RECORDED = json.loads(GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
 def digests():
-    here = machine()
-    for key in ("numpy", "cpu_features"):
-        if here[key] != RECORDED[key]:
-            pytest.skip(f"golden digests were recorded under another {key}: "
-                        f"{RECORDED[key]!r}, here {here[key]!r}")
+    mismatch = machine_mismatch(RECORDED)
+    if mismatch:
+        pytest.skip(mismatch)
     return run_all()
 
 

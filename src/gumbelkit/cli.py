@@ -44,6 +44,10 @@ _LOSS_ALIASES = {"clipped": "clipped_gumbel", "expanded": "expanded_gumbel"}
 # in memory, and a run at this cap with the four default losses peaks near 120 MB
 MAX_GRID_POINTS = 100_000
 
+# the most points err-dist --points may ask for: it keeps a row per point and density,
+# and a run at this cap peaks near 150 MB at the default orders, 220 MB with three more
+MAX_DENSITY_POINTS = 100_000
+
 # the most bytes one regress cell may hold, counted by regression.cell_bytes: its
 # datasets and its rows of a chunk's drawn batches.  A cell over the stack budget
 # runs alone, and a 105.6 MB cell (1000 repeats at the default sizes) peaks at
@@ -207,8 +211,8 @@ def _cmd_loss_curve(args, parser) -> int:
 
 def _cmd_err_dist(args, parser) -> int:
     lo, hi = _parse_bounds(args.bounds, parser)
-    if args.points < 3:
-        parser.error("--points must be at least 3")
+    if not 3 <= args.points <= MAX_DENSITY_POINTS:
+        parser.error(f"--points must be at least 3 and at most {MAX_DENSITY_POINTS}, got {args.points}")
     grid = np.linspace(lo, hi, args.points)
     specs = _loss_specs(args, parser, "tabulate")
     rows = []
@@ -357,7 +361,8 @@ def _cmd_mdp_train(args, parser) -> int:
     size = args.dataset_size
     if size is None:
         size = 200 * mdp.num_states * mdp.num_actions
-    rng = stream(args.seed, 0)
+    # only a rollout draws; building its stream loads numpy.random
+    rng = stream(args.seed, 0) if args.dataset == "rollout" else None
     try:
         dataset = generate_dataset(mdp, args.dataset, size, rng=rng)
     except ValueError as err:

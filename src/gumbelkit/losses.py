@@ -141,19 +141,19 @@ def _horner(z, coeffs):
     return acc
 
 
-def _series_coeffs(spec: LossSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _series_coeffs(spec: LossSpec, values: bool) -> tuple[float, ...]:
     """The Horner coefficients of a series variant (l2 is order 2), for the values
-    and for the gradients: 1 / j! for j = 2 .. order and 1 / k! for k = 1 .. order
-    - 1, both order - 1 long; empty for every other variant."""
+    (1 / j! for j = 2 .. order) or the gradients (1 / k! for k = 1 .. order - 1),
+    order - 1 long; empty for every other variant."""
     if spec.variant not in ("expanded_gumbel", "l2"):
-        return (), ()
+        return ()
     inverse = _recip_factorials(spec.order or 2)
-    return inverse[2:], inverse[1:-1]
+    return inverse[2:] if values else inverse[1:-1]
 
 
-def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeffs, r):
-    """(values, gradients with respect to the prediction) of one kernel, from one
-    pass over their shared terms; ``want`` flags which to compute, the other is None.
+def _variant_terms(variant: str, values: bool, beta, clip, tau, coeffs, r):
+    """The loss values of one kernel, or without ``values`` its gradients with
+    respect to the prediction.
 
     The parameters are the scalars of one spec, or of rows that share them (see
     :func:`_row_kernel`); beta may also be an array of one value per row, shaped
@@ -161,37 +161,35 @@ def _variant_terms(variant: str, want: tuple[bool, bool], beta, clip, tau, coeff
     this function with the rest bound.  The clipped terms share their batch's
     maximum along the last axis, floored at -1.  Every variant not named here is
     a series: values z * sum_{j=2..n} z**(j-1) / j!, gradients -(1/beta)
-    sum_{k=1..n-1} z**k / k!, each by its own Horner pass over the (values,
-    gradients) ``coeffs``.
+    sum_{k=1..n-1} z**k / k!, by a Horner pass over ``coeffs``, those of the
+    output asked for.
     """
-    values, grads = want
     if variant == "gumbel":
         z = r / beta
         e = np.exp(z)
-        return (e - z - 1.0 if values else None), ((1.0 - e) / beta if grads else None)
+        return e - z - 1.0 if values else (1.0 - e) / beta
     if variant == "clipped_gumbel":
         zraw = r / beta
         z = np.clip(zraw, -clip, clip)
         m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
         em = np.exp(-m)
-        return (np.exp(z - m) - z * em - em if values else None,
-                np.where(np.abs(zraw) <= clip, em * (1.0 - np.exp(z)) / beta, 0.0) if grads else None)
+        return (np.exp(z - m) - z * em - em if values
+                else np.where(np.abs(zraw) <= clip, em * (1.0 - np.exp(z)) / beta, 0.0))
     if variant == "expectile":
         w = np.where(r < 0, 1.0 - tau, tau)
-        return (w * r * r if values else None), (-2.0 * w * r if grads else None)
+        return w * r * r if values else -2.0 * w * r
     z = r / beta
-    value_coeffs, grad_coeffs = coeffs
     # every even-order series is +inf at an infinite z, where a row padded with
     # zeros above its own order would form 0 * inf = NaN
-    return (np.where(np.isinf(z), np.inf, _horner(z, value_coeffs) * z) if values else None,
-            -_horner(z, grad_coeffs) / beta if grads else None)
+    return (np.where(np.isinf(z), np.inf, _horner(z, coeffs) * z) if values
+            else -_horner(z, coeffs) / beta)
 
 
-def _spec_kernel(spec: LossSpec, want: tuple[bool, bool] = (True, True), beta=None):
+def _spec_kernel(spec: LossSpec, values: bool = False, beta=None):
     """:func:`_variant_terms` of one spec, bound; ``beta``, such as an array of per-row
     temperatures, stands in for the spec's own."""
-    return partial(_variant_terms, spec.variant, want, spec.beta if beta is None else beta,
-                   spec.clip, spec.tau, _series_coeffs(spec))
+    return partial(_variant_terms, spec.variant, values, spec.beta if beta is None else beta,
+                   spec.clip, spec.tau, _series_coeffs(spec, values))
 
 
 # the natural log of the largest float is 709.8; a series bound held 20 below it
@@ -237,27 +235,25 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     for i, spec in enumerate(specs):
         kind = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
         groups.setdefault((kind, spec.beta, spec.clip, spec.tau), []).append(i)
-    want, side = (values, not values), 1 - values
     parts = []
     for (kind, *params), members in groups.items():
-        series = [_series_coeffs(specs[i])[side] for i in members]
+        series = [_series_coeffs(specs[i], values) for i in members]
         table = np.zeros((max(map(len, series)), len(members), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
         contiguous = members[-1] - members[0] + 1 == len(members)
         rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         # spread to the full (rows, batch) shape up front, since numpy dispatches
-        # same-shape operands faster than broadcast ones; the table serves as
-        # either output's coefficients, as only the wanted one is read
+        # same-shape operands faster than broadcast ones
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(_variant_terms, kind, want, *params, (coeffs, coeffs))))
+        parts.append((rows, partial(_variant_terms, kind, values, *params, coeffs)))
     if len(parts) == 1:
-        return lambda residuals, part=parts[0][1]: part(residuals)[side]
+        return parts[0][1]
 
     def kernel(residuals: np.ndarray) -> np.ndarray:
         out = np.empty_like(residuals)
         for rows, part in parts:
-            out[rows] = part(residuals[rows])[side]
+            out[rows] = part(residuals[rows])
         return out
 
     return kernel
@@ -294,7 +290,7 @@ def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
     if arr.size == 0:
         raise ValueError("clipped_gumbel_loss requires a nonempty batch")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _spec_kernel(LossSpec.clipped(beta, clip), (True, False))(arr)[0]
+        values = _spec_kernel(LossSpec.clipped(beta, clip), values=True)(arr)
     return float(np.mean(values))
 
 
@@ -359,7 +355,7 @@ def loss_values(spec: LossSpec, residuals):
     r = np.asarray(residuals, dtype=float)
     batch = r[..., None] if spec.variant == "clipped_gumbel" else r
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _spec_kernel(spec, (True, False))(batch)[0]
+        out = _spec_kernel(spec, values=True)(batch)
     return _like_input(out.reshape(r.shape), residuals)
 
 
@@ -374,7 +370,7 @@ def loss_grads(spec: LossSpec, residuals):
     if spec.variant == "clipped_gumbel":
         r = np.atleast_1d(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _spec_kernel(spec, (False, True))(r)[1]
+        out = _spec_kernel(spec)(r)
     return _like_input(out, r)
 
 

@@ -32,7 +32,6 @@ from .rng import stream
 
 __all__ = [
     "RegressionConfig",
-    "RepeatResult",
     "RegressionTrace",
     "DEFAULT_BETAS",
     "generate_data",
@@ -106,18 +105,6 @@ class RegressionConfig:
             raise ValueError("escape_factor must be positive and finite, or None")
 
 
-@dataclass(frozen=True)
-class RepeatResult:
-    """One repeat, a row of a :class:`RegressionTrace`: per-checkpoint
-    absolute errors (NaN past divergence)."""
-
-    errors: np.ndarray
-    diverged: bool
-    diverged_at: int | None
-    target: float
-    final_h: float
-
-
 @dataclass
 class RegressionTrace:
     """The repeats of one cell as rows of arrays, with their aggregates.
@@ -153,20 +140,6 @@ class RegressionTrace:
     @property
     def all_diverged(self) -> bool:
         return self.diverged_count == len(self.diverged_at)
-
-    @property
-    def repeats(self) -> list[RepeatResult]:
-        """One :class:`RepeatResult` per row, built on each access."""
-        return [
-            RepeatResult(
-                errors=self.errors[i],
-                diverged=bool(at),
-                diverged_at=int(at) if at else None,
-                target=float(self.targets[i]),
-                final_h=float(self.final_h[i]),
-            )
-            for i, at in enumerate(self.diverged_at)
-        ]
 
 
 def generate_data(beta_data: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,23 +242,22 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
         if any(_shared(config, name) != _shared(first, name) for config in configs):
             raise ValueError(f"cells stepped together must share {name}")
     n, batch, checkpoints, loss = first.n_data, first.batch_size, first.checkpoints, first.loss
-    rngs, data, targets, scales, bounds, init, betas = [], [], [], [], [], [], []
+    rngs, data, reduced = [], [], []
     for config in configs:
         cell = [stream(config.master_seed, *config.stream_key, 1 + i) for i in range(config.repeats)]
         if first.resample_data:
             sets = [generate_data(config.beta_data, n, rng) for rng in cell]
         else:
-            shared = stream(config.master_seed, *config.stream_key, 0)
-            sets = [generate_data(config.beta_data, n, shared)] * config.repeats
+            sets = [generate_data(config.beta_data, n, stream(config.master_seed, *config.stream_key, 0))]
         rngs += cell
-        data += sets                            # the dataset each repeat reads
-        targets += [target_value(x, config.beta_reg, config.target) for x in sets]
-        cell_scales = [float(np.max(np.abs(x))) for x in sets]
-        scales += cell_scales
-        bounds += [_escape_bound(config, scale) for scale in cell_scales]
-        init += [float(config.init_h)] * config.repeats
-        betas += [config.loss.beta] * config.repeats
-    targets, scales, bounds, betas = map(np.array, (targets, scales, bounds, betas))
+        # each dataset is reduced once, and a shared one serves every repeat
+        copies = config.repeats // len(sets)
+        data += sets * copies                   # the dataset each repeat reads
+        for x in sets:
+            scale = float(np.max(np.abs(x)))
+            reduced += [(target_value(x, config.beta_reg, config.target), scale,
+                         _escape_bound(config, scale), config.init_h, config.loss.beta)] * copies
+    targets, scales, bounds, init, betas = np.array(reduced).T
 
     count, total = len(rngs), checkpoints[-1]
     errors = np.full((count, len(checkpoints)), np.nan)
@@ -310,11 +282,11 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             # path[j] is the estimate before step j + 1; a non-finite gradient
             # leaves the estimate non-finite.  beta is spread to the full (rows,
             # batch) shape, since numpy dispatches same-shape operands faster
-            grads_of = _spec_kernel(loss, (False, True), np.repeat(beta[:, None], batch, axis=1))
+            grads_of = _spec_kernel(loss, beta=np.repeat(beta[:, None], batch, axis=1))
             path = np.empty((span + 1, live.size))
             path[0] = h
             for j in range(span):
-                grads = grads_of(drawn[:, j] - h[:, None])[1]
+                grads = grads_of(drawn[:, j] - h[:, None])
                 # numpy's float64 mean, without its Python wrapper
                 h = np.subtract(h, first.lr * (np.add.reduce(grads, axis=-1) / batch),
                                 out=path[j + 1])
@@ -333,7 +305,8 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
                     break
                 before, after = path[j, rows], path[j + 1, rows]
                 residuals = drawn[rows, j] - before[:, None]
-                losses, grads = _spec_kernel(loss, beta=beta[rows, None])(residuals)
+                losses = _spec_kernel(loss, values=True, beta=beta[rows, None])(residuals)
+                grads = _spec_kernel(loss, beta=beta[rows, None])(residuals)
                 # a row with a non-finite gradient has a non-finite mean, so the
                 # step check covers the gradients
                 ok = np.isfinite(residuals).all(axis=-1) & np.isfinite(losses).all(axis=-1)
@@ -397,13 +370,13 @@ def full_batch_descent(
     """Deterministic gradient descent on the mean loss over the whole dataset."""
     h = init_h
     arr = np.atleast_1d(np.asarray(data, dtype=float))
-    grads_of = _spec_kernel(spec, (False, True))
+    grads_of = _spec_kernel(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(updates):
             residuals = arr - h
             if not np.all(np.isfinite(residuals)):
                 return math.inf
-            step = float(np.add.reduce(grads_of(residuals)[1], axis=None) / arr.size)
+            step = float(np.add.reduce(grads_of(residuals), axis=None) / arr.size)
             if not math.isfinite(step):
                 return math.inf
             h = h - lr * step

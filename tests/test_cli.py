@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +15,14 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from gumbelkit import cli
-from gumbelkit.cli import MAX_CELL_BYTES, MAX_GRID_POINTS, _parse_grid, build_parser, main
+from gumbelkit.cli import (
+    MAX_CELL_BYTES,
+    MAX_DENSITY_POINTS,
+    MAX_GRID_POINTS,
+    _parse_grid,
+    build_parser,
+    main,
+)
 from gumbelkit.regression import cell_bytes
 
 
@@ -81,10 +91,15 @@ def test_a_grid_at_the_point_cap_is_parsed():
 OVER_CAP = "10000000000000000000"
 
 
+@contextlib.contextmanager
 def refuse_runs():
-    """Fail the test if a regress run starts: a size over the cap must be refused first."""
-    return mock.patch.object(cli, "run_experiment",
-                             side_effect=AssertionError("a regress run started"))
+    """Fail the test if a regress or err-dist run starts: a size over the cap must be
+    refused first."""
+    with mock.patch.object(cli, "run_experiment",
+                           side_effect=AssertionError("a regress run started")), \
+         mock.patch.object(cli, "implied_error_density",
+                           side_effect=AssertionError("an err-dist run started")):
+        yield
 
 
 class TestRegressByteCap:
@@ -126,6 +141,24 @@ class TestRegressByteCap:
             run_cli(["regress", "--repeats", "2", "--betas", "1", "--out", tmp_path / "x.csv"])
         assert exc.value.code == 1
         assert error_lines(capsys.readouterr().err) == [line]
+
+
+class TestErrDistPointCap:
+    @pytest.mark.parametrize("points", [str(MAX_DENSITY_POINTS + 1), OVER_CAP])
+    def test_points_over_the_cap_is_a_usage_error(self, tmp_path, capsys, points):
+        with refuse_runs():
+            assert_usage_error(["err-dist", "--points", points], tmp_path / "x.csv", capsys,
+                               f"--points must be at least 3 and at most {MAX_DENSITY_POINTS}")
+
+    def test_points_at_the_cap_start(self, tmp_path, monkeypatch):
+        grids = []
+        curve = mock.Mock(normalizer=1.0, **{"trapezoid_integral.return_value": 1.0,
+                                             "rows.return_value": []})
+        monkeypatch.setattr(cli, "implied_error_density",
+                            lambda spec, grid: grids.append(grid.size) or curve)
+        assert run_cli(["err-dist", "--points", MAX_DENSITY_POINTS, "--out", tmp_path / "x.csv"]) == 0
+        # one density for each of the five default orders
+        assert grids == [MAX_DENSITY_POINTS] * 5
 
 
 class TestErrDistCommand:
@@ -272,6 +305,21 @@ class TestMdpTrainCommand:
             worst[n] = max(worst.get(n, 0.0), abs(float(r["gap_soft"])))
         gaps = [worst[n] for n in (4, 8, 12, 20)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("dataset,loaded", [([], False), (["--dataset", "rollout"], True)],
+                             ids=["exhaustive", "rollout"])
+    def test_only_a_rollout_dataset_loads_numpy_random(self, tmp_path, dataset, loaded):
+        # the default exhaustive dataset draws nothing, so it builds no random stream
+        argv = ["mdp-train", "--mdp", "bandit1", "--outer", "20", *dataset,
+                "--out", str(tmp_path / "x.csv")]
+        script = ("import sys\nfrom gumbelkit.cli import main\n"
+                  f"assert main({argv!r}) == 0\nprint('numpy.random' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{loaded}\n"
 
     def test_unknown_mdp_lists_zoo(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -505,7 +553,8 @@ class TestSeedHandling:
 # flags, each with a valid value, and its flags that take a list of parts, each
 # with its separator and a valid value's parts.  The fuzzer gives every flag
 # either that value, a bad one, or leaves it out; a list gets each part valid
-# or drawn from SPECIAL_PARTS.  The counts named in CAPPED may also be OVER_CAP.
+# or drawn from SPECIAL_PARTS.  The counts named in CAPPED may also be drawn over
+# their caps.
 FUZZ_RUNS = {
     "regress": (
         ["regress", "--repeats", "2", "--betas", "1", "--data-size", "50"],
@@ -534,13 +583,17 @@ FUZZ_RUNS = {
     ),
 }
 SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300")
-CAPPED = {"regress": ("--repeats", "--data-size", "--batch-size")}
+# the counts a fuzzed line may set over their caps, and the values it draws there
+CAPPED = {
+    "regress": {flag: (OVER_CAP,) for flag in ("--repeats", "--data-size", "--batch-size")},
+    "err-dist": {"--points": (str(MAX_DENSITY_POINTS + 1), "1000000000", OVER_CAP)},
+}
 
 
-def fuzzed_flags(reals, counts, lists, capped=()):
+def fuzzed_flags(reals, counts, lists, capped):
     choices = {flag: st.sampled_from(("0", "-1", "nan", "inf", "1e300", valid))
                for flag, valid in reals.items()}
-    choices.update({flag: st.sampled_from(("0", "-1", valid, *[OVER_CAP] * (flag in capped)))
+    choices.update({flag: st.sampled_from(("0", "-1", valid, *capped.get(flag, ())))
                     for flag, valid in {**counts, "--seed": "5"}.items()})
     for flag, (separator, parts) in lists.items():
         joined = st.tuples(*(st.sampled_from((part, *SPECIAL_PARTS)) for part in parts))
@@ -575,7 +628,7 @@ def check_fuzzed_run(command, flags):
     base, reals, _, lists = FUZZ_RUNS[command]
     argv = base + [part for flag, value in flags.items() if value is not None
                    for part in (flag, value)]
-    over_cap = OVER_CAP in flags.values()
+    over_cap = any(value in CAPPED.get(command, {}).get(flag, ()) for flag, value in flags.items())
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "x.csv")
         err = io.StringIO()
@@ -602,13 +655,15 @@ class TestFuzzedFlags:
     def test_writes_a_csv_or_fails_in_one_line(self, command, data):
         _, reals, counts, lists = FUZZ_RUNS[command]
         check_fuzzed_run(command, data.draw(fuzzed_flags(reals, counts, lists,
-                                                         CAPPED.get(command, ()))))
+                                                         CAPPED.get(command, {}))))
 
     # lines the fuzzer can draw but its derandomized examples miss
     @pytest.mark.parametrize("command,flags", [
         ("loss-curve", {"--grid": "-3:1e300:0.5"}),   # finite parts, 2e300 points
         ("regress", {"--repeats": OVER_CAP, "--data-size": "-1"}),
         ("regress", {"--batch-size": OVER_CAP, "--lr": "nan"}),
+        ("err-dist", {"--points": OVER_CAP, "--bounds": "nan:10"}),
+        ("err-dist", {"--points": str(MAX_DENSITY_POINTS + 1)}),
     ])
     def test_drawable_lines(self, command, flags):
         check_fuzzed_run(command, flags)

@@ -116,59 +116,59 @@ class TestFullBatchDescent:
 class TestRunRepeat:
     def test_matched_cell_converges(self):
         config = cell_config(2.0, 2.0, LossSpec.gumbel(beta=2.0))
-        result = run_cell(config).repeats[0]
-        assert not result.diverged
-        assert result.errors[-1] < result.errors[0]
+        trace = run_cell(config)
+        assert trace.diverged_at[0] == 0
+        assert trace.errors[0, -1] < trace.errors[0, 0]
 
     def test_mismatched_exponential_escapes(self):
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5))
-        result = run_cell(config).repeats[0]
-        assert result.diverged
-        assert result.diverged_at is not None
-        assert np.isnan(result.errors[-1])
+        trace = run_cell(config)
+        assert trace.diverged_at[0] != 0
+        assert 1 <= trace.diverged_at[0] <= config.checkpoints[-1]
+        assert np.isnan(trace.errors[0, -1])
 
     def test_escape_detection_can_be_disabled(self):
         # without the escape bound the blow-up freezes at a huge finite
         # estimate and the non-finiteness check alone never fires
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5), escape_factor=None)
-        result = run_cell(config).repeats[0]
-        assert not result.diverged
-        assert math.isfinite(result.final_h)
-        assert result.errors[-1] > 1e3
+        trace = run_cell(config)
+        assert trace.diverged_at[0] == 0
+        assert math.isfinite(trace.final_h[0])
+        assert trace.errors[0, -1] > 1e3
 
     def test_polynomial_gradients_overflow_at_mismatched_scales(self):
         config = cell_config(10.0, 0.5, LossSpec.expanded(4, beta=0.5), escape_factor=None)
-        result = run_cell(config).repeats[0]
-        assert result.diverged
-        assert result.diverged_at is not None and result.diverged_at < 50
+        trace = run_cell(config)
+        assert trace.diverged_at[0] != 0
+        assert 1 <= trace.diverged_at[0] < 50
 
     def test_missing_checkpoints_after_divergence(self):
         config = cell_config(10.0, 0.5, LossSpec.gumbel(beta=0.5))
-        result = run_cell(config).repeats[1]
-        recorded = ~np.isnan(result.errors)
+        errors = run_cell(config).errors[1]
+        recorded = ~np.isnan(errors)
         if recorded.any():
             # recorded prefix, missing suffix
             last = np.max(np.nonzero(recorded))
-            assert not np.isnan(result.errors[: last + 1]).any()
-            assert np.isnan(result.errors[last + 1 :]).all()
+            assert not np.isnan(errors[: last + 1]).any()
+            assert np.isnan(errors[last + 1 :]).all()
 
     def test_bit_identical_reruns(self):
         config = cell_config(2.0, 0.5, LossSpec.gumbel(beta=0.5))
-        a = run_cell(config).repeats[3]
-        b = run_cell(config).repeats[3]
-        np.testing.assert_array_equal(a.errors, b.errors)
-        assert a.final_h == b.final_h
+        a = run_cell(config)
+        b = run_cell(config)
+        np.testing.assert_array_equal(a.errors[3], b.errors[3])
+        assert a.final_h[3] == b.final_h[3]
 
     def test_fixed_dataset_shares_target(self):
         config = cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0), resample_data=False)
-        r0, r1 = run_cell(config).repeats[:2]
-        assert r0.target == r1.target
-        assert not np.array_equal(r0.errors, r1.errors)
+        trace = run_cell(config)
+        assert trace.targets[0] == trace.targets[1]
+        assert not np.array_equal(trace.errors[0], trace.errors[1])
 
     def test_resampled_targets_differ(self):
         config = cell_config(1.0, 1.0, LossSpec.gumbel(beta=1.0))
-        r0, r1 = run_cell(config).repeats[:2]
-        assert r0.target != r1.target
+        trace = run_cell(config)
+        assert trace.targets[0] != trace.targets[1]
 
 
 def reference_repeat(config, repeat_index):
@@ -230,13 +230,14 @@ ORACLE_LOSSES = {
 }
 
 
-def assert_matches_reference(result, reference):
+def assert_matches_reference(trace, i, reference):
+    """Row i of a trace against a scalar reference, whose diverged_at is None for a survivor."""
     errors, diverged_at, target, final_h = reference
-    np.testing.assert_array_equal(result.errors, errors)
-    assert result.diverged_at == diverged_at
-    assert result.diverged == (diverged_at is not None)
-    assert result.target == target
-    np.testing.assert_array_equal(result.final_h, final_h)
+    np.testing.assert_array_equal(trace.errors[i], errors)
+    assert trace.diverged_at[i] == (0 if diverged_at is None else diverged_at)
+    assert (trace.diverged_at[i] != 0) == (diverged_at is not None)
+    assert trace.targets[i] == target
+    np.testing.assert_array_equal(trace.final_h[i], final_h)
 
 
 def assert_trace_rows_match(trace, references):
@@ -283,12 +284,12 @@ class TestArrayLoopMatchesScalarLoop:
         ):
             trace = run_cell(config)
             references = [reference_repeat(config, i) for i in range(config.repeats)]
-            for i, result in enumerate(trace.repeats):
-                assert_matches_reference(result, references[i])
+            for i, reference in enumerate(references):
+                assert_matches_reference(trace, i, reference)
             assert_trace_rows_match(trace, references)
             # a row does not depend on the cell's size
-            grown = run_cell(dataclasses.replace(config, repeats=4)).repeats[3]
-            assert_matches_reference(grown, references[3])
+            grown = run_cell(dataclasses.replace(config, repeats=4))
+            assert_matches_reference(grown, 3, references[3])
 
     # Each way a row can fail a chunk's fast pass, so that its path is checked step
     # by step; the check must give the scalar loop's rows, and the rows kept beside
@@ -296,8 +297,8 @@ class TestArrayLoopMatchesScalarLoop:
     @staticmethod
     def assert_matches_scalar_loop(config):
         trace = run_cell(config)
-        for i, result in enumerate(trace.repeats):
-            assert_matches_reference(result, reference_repeat(config, i))
+        for i in range(config.repeats):
+            assert_matches_reference(trace, i, reference_repeat(config, i))
         return trace
 
     # seeds found by search: a row of seed 56 overflows at t = 10, a checkpoint

@@ -315,7 +315,8 @@ class TestMdpTrainCommand:
         script = ("import sys\nfrom gumbelkit.cli import main\n"
                   f"assert main({argv!r}) == 0\nprint('numpy.random' in sys.modules)")
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -663,7 +664,6 @@ class TestFuzzedFlags:
         ("regress", {"--repeats": OVER_CAP, "--data-size": "-1"}),
         ("regress", {"--batch-size": OVER_CAP, "--lr": "nan"}),
         ("err-dist", {"--points": OVER_CAP, "--bounds": "nan:10"}),
-        ("err-dist", {"--points": str(MAX_DENSITY_POINTS + 1)}),
     ])
     def test_drawable_lines(self, command, flags):
         check_fuzzed_run(command, flags)

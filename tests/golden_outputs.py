@@ -51,6 +51,13 @@ RUNS = {
                               "--include", "gumbel,clipped,expectile,l2"],
     "loss-curve": ["loss-curve"],
     "err-dist": ["err-dist"],
+    # losses named out of the order the tables list them in
+    "mdp-train-bandit1-unordered": ["mdp-train", "--mdp", "bandit1", "--orders", "4,2",
+                                    "--include", "l2,gumbel"],
+    "loss-curve-unordered": ["loss-curve", "--orders", "8,2",
+                             "--include", "l2,expectile,gumbel,clipped"],
+    "err-dist-unordered": ["err-dist", "--orders", "4,2", "--include", "l2,gumbel",
+                           "--bounds", "-32:10"],
 }
 
 

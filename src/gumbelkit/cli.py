@@ -40,18 +40,19 @@ DEFAULT_SEED = 20_240_214
 # the CLI names that differ from a variant's own
 _LOSS_ALIASES = {"clipped": "clipped_gumbel", "expanded": "expanded_gumbel"}
 
-# the most points a loss-curve --grid may hold: it keeps a row per point and loss
-# in memory, and a run at this cap with the four default losses peaks near 120 MB
+# the most points a loss-curve --grid may hold: it writes one loss's rows at a time,
+# and a run at this cap with the four default losses peaks near 42 MB resident
 MAX_GRID_POINTS = 100_000
 
-# the most points err-dist --points may ask for: it keeps a row per point and density,
-# and a run at this cap peaks near 150 MB at the default orders, 220 MB with three more
+# the most points err-dist --points may ask for: it writes one density's rows at a
+# time, and a run at this cap peaks near 43 MB resident at the default orders, 46 MB
+# with three more
 MAX_DENSITY_POINTS = 100_000
 
 # the most bytes one regress cell may hold, counted by regression.cell_bytes: its
-# datasets and its rows of a chunk's drawn batches.  A cell over the stack budget
-# runs alone, and a 105.6 MB cell (1000 repeats at the default sizes) peaks at
-# 141 MB resident, so a run at this cap should peak near 1.1 GB
+# datasets, its rows of a chunk's drawn batches and its repeats' random streams.  A
+# cell over the stack budget runs alone, and a 106.6 MB cell (1000 repeats at the
+# default sizes) peaks at 141 MB resident, so a run at this cap should peak near 1.1 GB
 MAX_CELL_BYTES = 1 << 30
 
 
@@ -175,8 +176,14 @@ def _check_clip_tau(parser, clip: float, tau: float) -> None:
     _build_spec(parser, "expectile", 1.0, None, clip, tau)
 
 
+def _loss_key(spec: LossSpec) -> str:
+    """A loss as the manifest and the errors name it: its variant, and its order if any."""
+    return spec.variant if spec.order is None else f"{spec.variant}_{spec.order}"
+
+
 def _loss_specs(args, parser, task: str) -> list[LossSpec]:
-    """The expanded losses named by --orders, then the variants named by --include."""
+    """The losses named by --orders and --include, each once, in the order every
+    table lists them: by variant, and the expanded ones by order."""
     # checked here too: --beta also sets the soft oracle, and expectile ignores it
     if not (math.isfinite(args.beta) and args.beta > 0):
         parser.error(f"beta must be a positive finite real, got {args.beta}")
@@ -187,19 +194,20 @@ def _loss_specs(args, parser, task: str) -> list[LossSpec]:
     specs += [_build_spec(parser, alias, args.beta, None, args.clip, args.tau) for alias in include]
     if not specs:
         parser.error(f"nothing to {task}: give --orders and/or --include")
+    specs.sort(key=lambda spec: (spec.variant, spec.order or 0))
+    for a, b in zip(specs, specs[1:]):
+        if a == b:
+            parser.error(f"loss {_loss_key(a)} is named twice")
     return specs
 
 
 def _cmd_loss_curve(args, parser) -> int:
     grid = _parse_grid(args.grid, parser)
     specs = _loss_specs(args, parser, "tabulate")
-    rows = []
-    for spec in specs:
-        values = np.atleast_1d(loss_values(spec, grid))
-        order = _blank_none(spec.order)
-        for z, val in zip(grid.tolist(), values.tolist()):
-            rows.append((spec.variant, order, args.beta, z, val))
-    rows.sort(key=lambda r: (r[0], r[1] if r[1] != "" else -1, r[3]))
+    residuals = grid.tolist()
+    rows = ((spec.variant, _blank_none(spec.order), args.beta, z, val)
+            for spec in specs
+            for z, val in zip(residuals, np.atleast_1d(loss_values(spec, grid)).tolist()))
     _write_csv(args.out, ("loss_variant", "order", "beta", "residual", "loss"), rows)
     _write_manifest(
         args.out, "loss-curve", args.seed,
@@ -215,17 +223,12 @@ def _cmd_err_dist(args, parser) -> int:
         parser.error(f"--points must be at least 3 and at most {MAX_DENSITY_POINTS}, got {args.points}")
     grid = np.linspace(lo, hi, args.points)
     specs = _loss_specs(args, parser, "tabulate")
-    rows = []
-    normalizers = {}
-    for spec in specs:
-        curve = implied_error_density(spec, grid)
-        order = _blank_none(spec.order)
-        integral = curve.trapezoid_integral()
-        key = spec.variant if spec.order is None else f"{spec.variant}_{spec.order}"
-        normalizers[f"normalizer.{key}"] = curve.normalizer
-        for z, dens in curve.rows():
-            rows.append((spec.variant, order, args.beta, z, dens, integral))
-    rows.sort(key=lambda r: (r[0], r[1] if r[1] != "" else -1, r[3]))
+    # every density is built before the CSV is opened, since one may raise
+    curves = [implied_error_density(spec, grid) for spec in specs]
+    integrals = [curve.trapezoid_integral() for curve in curves]
+    rows = ((spec.variant, _blank_none(spec.order), args.beta, z, dens, integral)
+            for spec, curve, integral in zip(specs, curves, integrals)
+            for z, dens in curve.rows())
     _write_csv(
         args.out,
         ("loss_variant", "order", "beta", "z", "density", "curve_integral"),
@@ -233,7 +236,8 @@ def _cmd_err_dist(args, parser) -> int:
     )
     config = {"beta": args.beta, "orders": args.orders, "include": args.include,
               "clip": args.clip, "tau": args.tau, "bounds": args.bounds, "points": args.points}
-    config.update(normalizers)
+    config.update({f"normalizer.{_loss_key(spec)}": curve.normalizer
+                   for spec, curve in zip(specs, curves)})
     _write_manifest(args.out, "err-dist", args.seed, config)
     return 0
 
@@ -318,9 +322,9 @@ def _cmd_regress(args, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
     if cell_bytes(base) > MAX_CELL_BYTES:
-        parser.error(f"a regress cell would hold {cell_bytes(base)} bytes of datasets and drawn "
-                     f"batches, over the cap of {MAX_CELL_BYTES}: lower --repeats, --data-size "
-                     f"or --batch-size")
+        parser.error(f"a regress cell would hold {cell_bytes(base)} bytes of datasets, drawn "
+                     f"batches and random streams, over the cap of {MAX_CELL_BYTES}: lower "
+                     f"--repeats, --data-size or --batch-size")
     cells = run_experiment(base, betas=beta_list)
     _write_csv(args.out, EXPERIMENT_COLUMNS, experiment_rows(cells))
     _write_manifest(
@@ -385,19 +389,12 @@ def _cmd_mdp_train(args, parser) -> int:
         ]
     except ValueError as err:
         parser.error(str(err))
-    rows = []
-    for spec, tables in zip(specs, train_many(mdp, dataset, configs)):
-        order = _blank_none(spec.order)
-        for s in range(mdp.num_states):
-            rows.append(
-                (
-                    mdp_name, spec.variant, order, args.beta, s,
-                    float(tables.v[s]), float(v_mu[s]), float(v_soft[s]),
-                    float(tables.v[s] - v_mu[s]), float(v_soft[s] - tables.v[s]),
-                    tables.iterations, int(tables.converged), int(tables.diverged),
-                )
-            )
-    rows.sort(key=lambda r: (r[1], r[2] if r[2] != "" else -1, r[4]))
+    rows = ((mdp_name, spec.variant, _blank_none(spec.order), args.beta, s,
+             float(tables.v[s]), float(v_mu[s]), float(v_soft[s]),
+             float(tables.v[s] - v_mu[s]), float(v_soft[s] - tables.v[s]),
+             tables.iterations, int(tables.converged), int(tables.diverged))
+            for spec, tables in zip(specs, train_many(mdp, dataset, configs))
+            for s in range(mdp.num_states))
     _write_csv(
         args.out,
         ("mdp", "loss_variant", "order", "beta", "state", "v_fitted", "v_behavior",

@@ -187,11 +187,15 @@ def _escape_bound(config: RegressionConfig, data_scale: float) -> float:
 # the draw call, small enough that a stack holds only a slice of its batches
 _DRAW_CHUNK = 100
 
+# bytes a repeat's random stream holds: a Philox Generator counts 969 B by
+# tracemalloc and 1,032 B resident, each measured over many thousand streams
+_STREAM_BYTES = 1 << 10
+
 # bytes one stack of cells may hold, counted by cell_bytes: run_experiment cuts
 # the grid into stacks that fit, and a larger cell runs alone.  A step's cost is
 # per call below some tens of rows and per row above, so the 10-repeat cells
-# (1.06 MB each) gain from stacking, five to a stack, and 100-repeat ones
-# (10.6 MB) do not.  All nine 10-repeat cells in one stack would step faster
+# (1.07 MB each) gain from stacking, five to a stack, and 100-repeat ones
+# (10.7 MB) do not.  All nine 10-repeat cells in one stack would step faster
 # still, but they would add 4 MB, a tenth, to the peak resident memory
 _STACK_BUDGET = 6 << 20
 
@@ -208,10 +212,11 @@ def _shared(config: RegressionConfig, name: str):
 
 def cell_bytes(config: RegressionConfig) -> int:
     """The bytes a cell's rows hold while they step: their datasets (one shared
-    one without ``resample_data``) and their rows of a chunk's drawn batches."""
+    one without ``resample_data``), their rows of a chunk's drawn batches and
+    their random streams."""
     datasets = config.repeats if config.resample_data else 1
     drawn = config.repeats * min(_DRAW_CHUNK, config.checkpoints[-1]) * config.batch_size
-    return 8 * (datasets * config.n_data + drawn)
+    return 8 * (datasets * config.n_data + drawn) + _STREAM_BYTES * config.repeats
 
 
 def run_cell(config: RegressionConfig) -> RegressionTrace:

@@ -7,6 +7,8 @@ numpy version and CPU features they were recorded under.  numpy's SIMD kernels
 may round differently elsewhere, so ``test_golden_outputs.py`` and
 ``test_demos.py`` compare only on a matching machine.
 
+    python tests/golden_outputs.py              # name each changed output, with
+                                                # its recorded and fresh sha256 prefix
     python tests/golden_outputs.py --update     # rewrite golden_outputs.json
 """
 
@@ -116,6 +118,21 @@ def run_all() -> dict:
     return digests
 
 
+def _by_output(runs: dict, demos: dict) -> dict:
+    """Each digest under its output's name: '<run> csv', '<run> manifest' or 'demo <demo>'."""
+    named = {f"{name} {part}": digest
+             for name, parts in runs.items() for part, digest in parts.items()}
+    return {**named, **{f"demo {name}": digest for name, digest in demos.items()}}
+
+
+def changes(golden: dict, digests: dict, demos: dict) -> list[str]:
+    """A line for each output whose digest differs from ``golden``, giving the
+    recorded and the fresh sha256 prefix."""
+    recorded, fresh = _by_output(golden["runs"], golden["demos"]), _by_output(digests, demos)
+    return [f"changed: {what}: recorded {recorded.get(what, 'none')[:16]}, fresh {digest[:16]}"
+            for what, digest in fresh.items() if recorded.get(what) != digest]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true", help=f"rewrite {GOLDEN.name}")
@@ -131,11 +148,9 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps({**machine(), "runs": digests, "demos": demos}, indent=1) + "\n")
         print(f"wrote {len(digests)} runs and {len(demos)} demos to {GOLDEN}")
         return 0
-    golden = json.loads(GOLDEN.read_text())
-    changed = sorted(name for name in RUNS if golden["runs"].get(name) != digests[name])
-    changed += sorted(f"demo {name}" for name in demos if golden["demos"].get(name) != demos[name])
-    for name in changed:
-        print(f"changed: {name}")
+    changed = changes(json.loads(GOLDEN.read_text()), digests, demos)
+    for line in changed:
+        print(line)
     return 1 if changed else 0
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from gumbelkit import cli
+from gumbelkit import cli, regression
 from gumbelkit.cli import (
     MAX_CELL_BYTES,
     MAX_DENSITY_POINTS,
@@ -97,6 +98,8 @@ def refuse_runs():
     refused first."""
     with mock.patch.object(cli, "run_experiment",
                            side_effect=AssertionError("a regress run started")), \
+         mock.patch.object(regression, "stream",
+                           side_effect=AssertionError("a regress stream was built")), \
          mock.patch.object(cli, "implied_error_density",
                            side_effect=AssertionError("an err-dist run started")):
         yield
@@ -107,8 +110,11 @@ class TestRegressByteCap:
         ["--data-size", OVER_CAP],
         ["--repeats", "100000000", "--data-size", "1"],
         ["--batch-size", OVER_CAP],
-        ["--repeats", "1", "--batch-size", "1", "--data-size", str(MAX_CELL_BYTES // 8 - 99)],
-    ], ids=["data-size", "repeats", "batch-size", "one-byte-over"])
+        ["--repeats", "1", "--batch-size", "1",
+         "--data-size", str((MAX_CELL_BYTES - regression._STREAM_BYTES) // 8 - 99)],
+        # 808 bytes of data and batches a repeat fit the cap; its streams do not
+        ["--repeats", "1000000", "--batch-size", "1", "--data-size", "1"],
+    ], ids=["data-size", "repeats", "batch-size", "one-byte-over", "streams"])
     def test_a_cell_over_the_cap_is_a_usage_error(self, tmp_path, capsys, flags):
         with refuse_runs():
             assert_usage_error(["regress", *flags], tmp_path / "x.csv", capsys,
@@ -124,8 +130,9 @@ class TestRegressByteCap:
     def test_a_cell_at_the_cap_starts(self, tmp_path, monkeypatch):
         started = []
         monkeypatch.setattr(cli, "run_experiment", lambda base, betas: started.append(base) or [])
-        # 8 bytes a datum plus 8 a drawn index, of 100 steps a chunk at one repeat of batch 1
-        size = MAX_CELL_BYTES // 8 - 100
+        # 8 bytes a datum plus 8 a drawn index, of 100 steps a chunk at one repeat of
+        # batch 1, and the repeat's stream
+        size = (MAX_CELL_BYTES - regression._STREAM_BYTES) // 8 - 100
         assert run_cli(["regress", "--repeats", "1", "--batch-size", "1", "--data-size", size,
                         "--out", tmp_path / "x.csv"]) == 0
         assert cell_bytes(started[0]) == MAX_CELL_BYTES
@@ -161,6 +168,22 @@ class TestErrDistPointCap:
         assert grids == [MAX_DENSITY_POINTS] * 5
 
 
+@pytest.mark.parametrize("args", [
+    ["loss-curve", "--orders", "4,4"],
+    ["loss-curve", "--orders", "", "--include", "gumbel,l2,gumbel"],
+    ["err-dist", "--orders", "2,4,2"],
+    ["err-dist", "--include", "expectile,expectile"],
+    ["mdp-train", "--mdp", "bandit1", "--orders", "4,4"],
+    ["mdp-train", "--mdp", "bandit1", "--include", "clipped,clipped_gumbel"],
+])
+def test_a_loss_named_twice_is_a_usage_error(tmp_path, capsys, args):
+    with mock.patch.object(cli, "loss_values", side_effect=AssertionError("a loss was evaluated")), \
+         mock.patch.object(cli, "implied_error_density",
+                           side_effect=AssertionError("a density was built")), \
+         mock.patch.object(cli, "train_many", side_effect=AssertionError("a fit started")):
+        assert_usage_error(args, tmp_path / "x.csv", capsys, "is named twice")
+
+
 class TestErrDistCommand:
     def test_order_two_matches_normal_pdf(self, tmp_path):
         out = tmp_path / "dist.csv"
@@ -190,6 +213,26 @@ class TestErrDistCommand:
     def test_narrow_support_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(["err-dist", "--orders", "", "--include", "gumbel", "--out", tmp_path / "x.csv"])
+
+    def test_a_density_that_fails_leaves_no_output(self, tmp_path, capsys):
+        # the order-2 density is built first, then the gumbel one fails at the default bounds
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["err-dist", "--orders", "2", "--include", "gumbel", "--out", out])
+        assert exc.value.code == 1
+        assert len(error_lines(capsys.readouterr().err)) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_are_written_as_they_are_read(self, tmp_path):
+        # five densities of 20,001 points: 22.1 MB traced at the peak when every row
+        # was held for a sort, 2.6 MB when each density's rows are written in turn
+        tracemalloc.start()
+        try:
+            assert run_cli(["err-dist", "--out", tmp_path / "x.csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_manifest_records_normalizers(self, tmp_path):
         out = tmp_path / "dist.csv"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from golden_outputs import GOLDEN, RUNS, machine_mismatch, run_all
+from golden_outputs import GOLDEN, RUNS, changes, machine_mismatch, run_all
 
 RECORDED = json.loads(GOLDEN.read_text())
 
@@ -24,3 +24,14 @@ def test_every_run_is_recorded():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_the_golden_digests(digests, name):
     assert digests[name] == RECORDED["runs"][name], f"{name}: rerun golden_outputs.py --update"
+
+
+def test_a_changed_output_is_named_with_both_digest_prefixes():
+    golden = {"runs": {"a": {"csv": "1" * 64, "manifest": "2" * 64}}, "demos": {"d": "3" * 64}}
+    fresh = {"a": {"csv": "1" * 64, "manifest": "4" * 64}, "new": {"csv": "5" * 64}}
+    assert changes(golden, {"a": golden["runs"]["a"]}, golden["demos"]) == []
+    assert changes(golden, fresh, {"d": "6" * 64}) == [
+        f"changed: a manifest: recorded {'2' * 16}, fresh {'4' * 16}",
+        f"changed: new csv: recorded none, fresh {'5' * 16}",
+        f"changed: demo d: recorded {'3' * 16}, fresh {'6' * 16}",
+    ]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gumbelkit.losses import LossSpec, _loss_finite_within, loss_grads, loss_val
 from gumbelkit.regression import (
     RegressionConfig,
     RegressionTrace,
+    cell_bytes,
     experiment_rows,
     full_batch_descent,
     generate_data,
@@ -430,9 +432,9 @@ class TestRunCells:
             assert_same_trace(trace, run_cell(trace.config))
 
     @pytest.mark.parametrize("repeats,resample,sizes", [
-        (10, True, [5, 4]),         # the benchmark's grid: 1.06 MB a cell
+        (10, True, [5, 4]),         # the benchmark's grid: 1.07 MB a cell
         (20, True, [2, 2, 2, 2, 1]),
-        (100, True, [1] * 9),       # the default grid: 10.6 MB a cell runs alone
+        (100, True, [1] * 9),       # the default grid: 10.7 MB a cell runs alone
         (1000, False, [1] * 9),     # one shared dataset, but 25.6 MB of drawn batches
     ])
     def test_experiment_cuts_the_grid_into_stacks_that_fit_the_budget(
@@ -448,6 +450,19 @@ class TestRunCells:
         # the losses of a stack agree up to their beta
         assert all(len({dataclasses.replace(c.loss, beta=1.0) for c in stack}) == 1
                    for stack in stacks)
+
+    def test_cell_bytes_counts_what_each_repeat_stream_holds(self):
+        stream(0, 0)                # the first stream loads numpy.random
+        tracemalloc.start()
+        try:
+            streams = [stream(0, 1, i) for i in range(1000)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(streams) * regression._STREAM_BYTES >= held
+        one = RegressionConfig(1.0, 1.0, LossSpec.gumbel(), n_data=1, batch_size=1, repeats=1)
+        two = dataclasses.replace(one, repeats=2)
+        assert cell_bytes(two) - cell_bytes(one) == 8 * (1 + 100) + regression._STREAM_BYTES
 
 
 def assert_rows_bit_identical(trace, references):

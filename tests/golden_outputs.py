@@ -60,6 +60,21 @@ RUNS = {
                              "--include", "l2,expectile,gumbel,clipped"],
     "err-dist-unordered": ["err-dist", "--orders", "4,2", "--include", "l2,gumbel",
                            "--bounds", "-32:10"],
+    # divides by a beta other than 1, a series group split by expectile and gumbel
+    # rows with l2 last, clipped rows, and state-action pairs the rollout never drew
+    "mdp-train-chain3-beta2-all": ["mdp-train", "--mdp", "chain3", "--beta", "2",
+                                   "--orders", "2,20", "--include", "gumbel,clipped,expectile,l2",
+                                   "--dataset", "rollout", "--outer", "60"],
+    # 250 V steps an outer iteration: two full 100-step chunks and a partial one
+    "mdp-train-risky5-v250": ["mdp-train", "--mdp", "risky5", "--v-steps", "250", "--outer", "20"],
+    # 6 of 10 pairs drawn and state 1 never visited
+    "mdp-train-risky5-sparse": ["mdp-train", "--mdp", "risky5", "--dataset", "rollout",
+                                "--dataset-size", "20", "--include", "gumbel,clipped,expectile",
+                                "--outer", "60"],
+    # every series fit and the gumbel one diverge, at iterations 1 and 3
+    "mdp-train-risky5-diverging": ["mdp-train", "--mdp", "risky5", "--beta", "0.5",
+                                   "--orders", "2,8,20", "--include", "gumbel,clipped,expectile",
+                                   "--lr-v", "2", "--v-steps", "250", "--outer", "30"],
 }
 
 

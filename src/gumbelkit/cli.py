@@ -55,6 +55,17 @@ MAX_DENSITY_POINTS = 100_000
 # default sizes) peaks at 141 MB resident, so a run at this cap should peak near 1.1 GB
 MAX_CELL_BYTES = 1 << 30
 
+# the largest mdp-train --dataset-size: a run at this cap peaks near 85 MB resident,
+# and a rollout of this size takes about 23 s to draw
+MAX_DATASET_SIZE = 1_000_000
+
+# the most V steps an mdp-train fit may ask for, --v-steps times --outer.  At the
+# default five losses a V step takes about 22 us, an outer iteration about 190 us
+# more, and each fit keeps 24 bytes of trace an iteration, so a run at this cap that
+# never converges takes from about 25 s (--v-steps 150) to about 3 min and 120 MB
+# of traces (--v-steps 1)
+MAX_V_STEPS = 1_000_000
+
 
 def _blank_none(value):
     """A CSV or manifest cell: an unset (None) parameter is written empty."""
@@ -361,19 +372,6 @@ def _cmd_mdp_train(args, parser) -> int:
             )
         mdp_name = args.mdp
     specs = _loss_specs(args, parser, "train")
-
-    size = args.dataset_size
-    if size is None:
-        size = 200 * mdp.num_states * mdp.num_actions
-    # only a rollout draws; building its stream loads numpy.random
-    rng = stream(args.seed, 0) if args.dataset == "rollout" else None
-    try:
-        dataset = generate_dataset(mdp, args.dataset, size, rng=rng)
-    except ValueError as err:
-        parser.error(str(err))
-
-    v_mu = behavior_value(mdp)
-    v_soft, _ = soft_value(mdp, beta=args.beta)
     lr_v = args.lr_v if args.lr_v is not None else 0.002 * args.beta * args.beta
     try:
         configs = [
@@ -389,6 +387,23 @@ def _cmd_mdp_train(args, parser) -> int:
         ]
     except ValueError as err:
         parser.error(str(err))
+    if args.v_steps * args.outer > MAX_V_STEPS:
+        parser.error(f"--v-steps times --outer must be at most {MAX_V_STEPS}, "
+                     f"got {args.v_steps * args.outer}")
+    size = args.dataset_size
+    if size is None:
+        size = 200 * mdp.num_states * mdp.num_actions
+    if size > MAX_DATASET_SIZE:
+        parser.error(f"--dataset-size must be at most {MAX_DATASET_SIZE}, got {size}")
+    # only a rollout draws; building its stream loads numpy.random
+    rng = stream(args.seed, 0) if args.dataset == "rollout" else None
+    try:
+        dataset = generate_dataset(mdp, args.dataset, size, rng=rng)
+    except ValueError as err:
+        parser.error(str(err))
+
+    v_mu = behavior_value(mdp)
+    v_soft, _ = soft_value(mdp, beta=args.beta)
     rows = ((mdp_name, spec.variant, _blank_none(spec.order), args.beta, s,
              float(tables.v[s]), float(v_mu[s]), float(v_soft[s]),
              float(tables.v[s] - v_mu[s]), float(v_soft[s] - tables.v[s]),

@@ -220,16 +220,46 @@ def _loss_finite_within(spec: LossSpec, reach, beta):
     return z < math.exp((_SERIES_LOG_LIMIT - math.log(n)) / n)
 
 
+def _write_grads(kind: str, beta: float, coeffs, r: np.ndarray, out: np.ndarray) -> None:
+    """The gradients of :func:`_variant_terms` for a gumbel or series group, written
+    into ``out`` by positional-out ufunc calls.
+
+    Bit for bit the same wherever z is finite: at beta exactly 1.0 both divides
+    are skipped, since x / 1.0 == x for every double, and the series' (-h) / beta
+    is taken as h / (-beta), since IEEE division is sign-symmetric.
+    """
+    if kind == "gumbel":
+        if beta != 1.0:
+            r = np.divide(r, beta, out)
+        np.exp(r, out)
+        np.subtract(1.0, out, out)
+        if beta != 1.0:
+            np.divide(out, beta, out)
+        return
+    z = r if beta == 1.0 else r / beta
+    np.multiply(coeffs[-1], z, out)
+    for c in coeffs[-2::-1]:
+        np.add(out, c, out)
+        np.multiply(out, z, out)
+    if beta == 1.0:
+        np.negative(out, out)
+    else:
+        np.divide(out, -beta, out)
+
+
 @lru_cache(maxsize=64)
 def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     """Gradient (or loss-value) function for (rows, batch) residuals whose row i is under specs[i].
 
-    Rows that share a kernel and its scalar parameters are evaluated in one
-    call per group; the series variants (expanded and l2) share one Horner
-    pass up to their highest order.  Each row equals ``loss_grads`` (or
-    ``loss_values``, but with a clipped row as one batch) of specs[i] on it,
-    bit for bit wherever residual / beta is finite; where it overflows, both
-    are non-finite.
+    The function takes the residuals and an optional ``out`` of their shape,
+    which it fills and returns; without one it allocates it.  Rows that share a
+    kernel and its scalar parameters are evaluated in one call per group; the
+    series variants (expanded and l2) share one Horner pass up to their highest
+    order.  A gumbel or series group whose rows are contiguous writes its
+    gradients straight into ``out`` (:func:`_write_grads`).  Each row equals
+    ``loss_grads`` (or ``loss_values``, but with a clipped row as one batch) of
+    specs[i] on it, bit for bit wherever residual / beta is finite; where it
+    overflows, both are non-finite.
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
@@ -241,19 +271,24 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
         table = np.zeros((max(map(len, series)), len(members), 1))
         for row, c in enumerate(series):
             table[: len(c), row, 0] = c
-        contiguous = members[-1] - members[0] + 1 == len(members)
-        rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         # spread to the full (rows, batch) shape up front, since numpy dispatches
         # same-shape operands faster than broadcast ones
         coeffs = list(np.repeat(table, batch, axis=2))
-        parts.append((rows, partial(_variant_terms, kind, values, *params, coeffs)))
-    if len(parts) == 1:
-        return parts[0][1]
+        contiguous = members[-1] - members[0] + 1 == len(members)
+        rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
+        if contiguous and kind in ("gumbel", "series") and not values:
+            parts.append((rows, True, partial(_write_grads, kind, params[0], coeffs)))
+        else:
+            parts.append((rows, False, partial(_variant_terms, kind, values, *params, coeffs)))
 
-    def kernel(residuals: np.ndarray) -> np.ndarray:
-        out = np.empty_like(residuals)
-        for rows, part in parts:
-            out[rows] = part(residuals[rows])
+    def kernel(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(residuals)
+        for rows, in_place, part in parts:
+            if in_place:
+                part(residuals[rows], out[rows])
+            else:
+                out[rows] = part(residuals[rows])
         return out
 
     return kernel

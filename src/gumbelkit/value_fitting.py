@@ -92,6 +92,10 @@ class ValueTables:
     trace: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
 
+# the most steps of V's path that v_step holds at once
+_PATH_CHUNK = 100
+
+
 def v_step(
     v: np.ndarray,
     q: np.ndarray,
@@ -111,7 +115,9 @@ def v_step(
 
     Returns the new V and one note per row, empty for a row that ran every
     step.  A row whose residuals or gradients stop being finite stops there:
-    it keeps its input V, and its note names the state where it broke.
+    it keeps its input V, and its note names the state where it broke.  V's
+    path is held one chunk of at most ``_PATH_CHUNK`` steps at a time, so the
+    memory does not grow with ``steps``.
     """
     v_new = v.astype(float)
     q_seen = q[:, counts.observed]
@@ -138,52 +144,74 @@ def v_step(
     if mode != "gradient":
         raise ValueError(f"unknown v_step mode {mode!r}")
     grads_of = _row_kernel(tuple(loss), len(rows))
-    rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float)
+    # the stack's tables, rates and weights flattened, so that every step's
+    # operands are contiguous and of one shape, which numpy dispatches fastest
+    q_flat, size = q_seen.reshape(-1), k_count * s_count
+    rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float).ravel()
+    flat_weights = np.tile(weights, k_count)
+    # every residual |q - v| of a chunk is at most its row's max |q| plus the
+    # chunk's max |V|: rounding is monotone, so while that sum is finite, so is
+    # every residual
+    q_reach = np.abs(q_seen).max(axis=1, initial=0.0)
+    # buffers every step reuses: path[j] is V before the chunk's step j + 1
+    path = np.empty((min(_PATH_CHUNK, steps) + 1, k_count, s_count))
+    flat_path = path.reshape(len(path), size)
+    residuals, grads = np.empty(bins.shape), np.empty(bins.shape)
+    flat_residuals, flat_grads = residuals.reshape(-1), grads.reshape(-1)
+    unbroken = np.ones(k_count, dtype=bool)
 
-    with np.errstate(all="ignore"):
-        # fast pass, without checks: path[i] is V before step i + 1.  One kernel
-        # call per group of rows; a clipped row takes its max over its own pairs,
-        # and absent states get an exact zero, so they stay untouched
-        path = np.empty((steps + 1, k_count, s_count))
-        path[0] = v_new
-        sums = np.zeros(bins.shape)
-        for i in range(steps):
-            residuals = q_seen - v_new.take(bins)
-            sums += residuals
-            state_grad = state_sums(grads_of(residuals))
-            state_grad *= rate
-            v_new = np.subtract(v_new, state_grad, out=path[i + 1])
-        v_new = v_new.copy()
-        # a non-finite residual leaves its running sum non-finite, and a non-finite
-        # gradient leaves V so.  The path of a row where either shows is exact up
-        # to the step where it broke, if it did, so only those rows are checked,
-        # step by step from their path.  An overflow of V lands as an infinity,
-        # which the checks catch on the next step, or the caller's table check
-        suspects = np.flatnonzero(~(np.isfinite(sums).all(axis=1) & np.isfinite(v_new).all(axis=1)))
-        if suspects.size == 0:
-            return v_new, notes
-        # from here on the stack holds only those rows
-        grads_of = _row_kernel(tuple(loss[k] for k in suspects), len(rows))
-        q_seen, path, bins = q_seen[suspects], path[:, suspects], bins[: suspects.size]
-        unbroken = np.ones(suspects.size, dtype=bool)
-        for i in range(steps):
-            residuals = q_seen - path[i].take(bins)
+    def check(suspects: np.ndarray, span: int) -> None:
+        """Step the suspects' chunk again from its path, with every check, and
+        note and retire each row at the first step that fails one."""
+        kernel = _row_kernel(tuple(loss[k] for k in suspects), len(rows))
+        q_rows, path_rows, bins_rows = q_seen[suspects], path[:span, suspects], bins[: suspects.size]
+        alive = np.ones(suspects.size, dtype=bool)
+        for j in range(span):
+            residuals = q_rows - path_rows[j].take(bins_rows)
             finite = np.isfinite(residuals)
-            for at in np.flatnonzero(unbroken & ~finite.all(axis=1)):
+            for at in np.flatnonzero(alive & ~finite.all(axis=1)):
                 state = int(rows[np.argmin(finite[at])])
                 notes[suspects[at]] = f"non-finite residual while fitting V at state {state}"
-                unbroken[at] = False
-            finite = np.isfinite(state_sums(grads_of(residuals)))
-            for at in np.flatnonzero(unbroken & ~finite.all(axis=1)):
+                alive[at] = False
+            finite = np.isfinite(state_sums(kernel(residuals)))
+            for at in np.flatnonzero(alive & ~finite.all(axis=1)):
                 state = int(np.argmin(finite[at]))
                 bad = residuals[at][rows == state]
                 worst = float(bad[np.argmax(np.abs(bad))])
                 notes[suspects[at]] = (f"non-finite gradient while fitting V at state {state} "
                                        f"(residual about {worst:.6g})")
-                unbroken[at] = False
-            if not unbroken.any():
+                alive[at] = False
+            if not alive.any():
                 break
-    broken = suspects[~unbroken]
+        unbroken[suspects] = alive
+
+    with np.errstate(all="ignore"):
+        # fast pass, without checks, one chunk of steps at a time.  One kernel call
+        # per group of rows; a clipped row takes its max over its own pairs, and
+        # absent states get an exact zero, so they stay untouched
+        for done in range(0, steps, _PATH_CHUNK):
+            span = min(_PATH_CHUNK, steps - done)
+            flat_path[0] = v_new.reshape(-1)
+            v_new = flat_path[0]
+            for j in range(span):
+                np.subtract(q_flat, v_new[flat_bins], flat_residuals)
+                grads_of(residuals, grads)
+                np.multiply(flat_grads, flat_weights, flat_grads)
+                state_grad = np.bincount(flat_bins, flat_grads, size)
+                np.multiply(state_grad, rate, state_grad)
+                v_new = np.subtract(v_new, state_grad, flat_path[j + 1])
+            # a non-finite residual, gradient or V leaves the chunk's reach non-finite.
+            # The path of such a row is exact up to the step where it broke, if it
+            # did, so only those rows are checked, step by step from their path.  An
+            # overflow of V lands as an infinity, which the checks catch on the next
+            # step, or the caller's table check.  A row broken in an earlier chunk
+            # stays broken
+            reach = q_reach + np.abs(path[: span + 1]).max(axis=(0, 2))
+            suspects = np.flatnonzero(unbroken & ~np.isfinite(reach))
+            if suspects.size:
+                check(suspects, span)
+    v_new = v_new.reshape(k_count, s_count).copy()
+    broken = ~unbroken
     v_new[broken] = v[broken]
     return v_new, notes
 

@@ -18,8 +18,10 @@ from scipy import stats as sps
 from gumbelkit import cli, regression
 from gumbelkit.cli import (
     MAX_CELL_BYTES,
+    MAX_DATASET_SIZE,
     MAX_DENSITY_POINTS,
     MAX_GRID_POINTS,
+    MAX_V_STEPS,
     _parse_grid,
     build_parser,
     main,
@@ -94,14 +96,18 @@ OVER_CAP = "10000000000000000000"
 
 @contextlib.contextmanager
 def refuse_runs():
-    """Fail the test if a regress or err-dist run starts: a size over the cap must be
-    refused first."""
+    """Fail the test if a regress, err-dist or mdp-train run starts: a size over the
+    cap must be refused first."""
     with mock.patch.object(cli, "run_experiment",
                            side_effect=AssertionError("a regress run started")), \
          mock.patch.object(regression, "stream",
                            side_effect=AssertionError("a regress stream was built")), \
          mock.patch.object(cli, "implied_error_density",
-                           side_effect=AssertionError("an err-dist run started")):
+                           side_effect=AssertionError("an err-dist run started")), \
+         mock.patch.object(cli, "generate_dataset",
+                           side_effect=AssertionError("an mdp-train dataset was built")), \
+         mock.patch.object(cli, "train_many",
+                           side_effect=AssertionError("an mdp-train fit started")):
         yield
 
 
@@ -182,6 +188,47 @@ def test_a_loss_named_twice_is_a_usage_error(tmp_path, capsys, args):
                            side_effect=AssertionError("a density was built")), \
          mock.patch.object(cli, "train_many", side_effect=AssertionError("a fit started")):
         assert_usage_error(args, tmp_path / "x.csv", capsys, "is named twice")
+
+
+class TestMdpTrainCaps:
+    SIZE = f"--dataset-size must be at most {MAX_DATASET_SIZE}"
+    STEPS = f"--v-steps times --outer must be at most {MAX_V_STEPS}"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dataset-size", str(MAX_DATASET_SIZE + 1)], SIZE),
+        (["--dataset-size", OVER_CAP], SIZE),
+        (["--dataset", "rollout", "--dataset-size", OVER_CAP], SIZE),
+        (["--v-steps", "1", "--outer", str(MAX_V_STEPS + 1)], STEPS),
+        (["--v-steps", str(MAX_V_STEPS // 400 + 1)], STEPS),    # at the default --outer 400
+        (["--v-steps", OVER_CAP, "--outer", OVER_CAP], STEPS),
+    ], ids=["dataset-size", "dataset-size-1e19", "rollout-1e19", "outer", "v-steps", "both-1e19"])
+    def test_a_run_over_a_cap_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        with refuse_runs():
+            assert_usage_error(["mdp-train", "--mdp", "bandit1", *flags], tmp_path / "x.csv",
+                               capsys, message)
+
+    def test_a_bad_count_is_named_before_a_cap(self, tmp_path, capsys):
+        with refuse_runs():
+            assert_usage_error(["mdp-train", "--v-steps", OVER_CAP, "--outer", "-1"],
+                               tmp_path / "x.csv", capsys, "must be positive")
+
+    def test_runs_at_the_caps_start(self, tmp_path, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def generate_dataset(mdp, mode, size, rng):
+            started.append(size)
+            raise Started
+
+        started = []
+        monkeypatch.setattr(cli, "generate_dataset", generate_dataset)
+        for flags in (["--dataset-size", str(MAX_DATASET_SIZE)],
+                      ["--v-steps", "1", "--outer", str(MAX_V_STEPS)],
+                      ["--v-steps", str(MAX_V_STEPS // 400)]):
+            with pytest.raises(Started):
+                run_cli(["mdp-train", "--mdp", "bandit1", *flags, "--out", tmp_path / "x.csv"])
+        # bandit1's default dataset holds 400 rows
+        assert started == [MAX_DATASET_SIZE, 400, 400]
 
 
 class TestErrDistCommand:
@@ -631,6 +678,9 @@ SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300")
 CAPPED = {
     "regress": {flag: (OVER_CAP,) for flag in ("--repeats", "--data-size", "--batch-size")},
     "err-dist": {"--points": (str(MAX_DENSITY_POINTS + 1), "1000000000", OVER_CAP)},
+    "mdp-train": {"--dataset-size": (str(MAX_DATASET_SIZE + 1), OVER_CAP),
+                  "--v-steps": (str(MAX_V_STEPS + 1), OVER_CAP),
+                  "--outer": (str(MAX_V_STEPS + 1), OVER_CAP)},
 }
 
 

@@ -275,6 +275,9 @@ def edge_residuals(rows):
 EDGE_SPECS = [LossSpec.expanded(n, beta) for n in (*range(2, 21, 2), 200) for beta in (0.5, 2.0)]
 EDGE_SPECS += [LossSpec.l2(0.7), LossSpec.gumbel(0.5), LossSpec.gumbel(3.0),
                LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0), LossSpec.expectile(0.3)]
+# beta exactly 1, where the in-place gradient kernel skips its divides
+EDGE_SPECS += [LossSpec.expanded(4), LossSpec.expanded(20), LossSpec.l2(), LossSpec.gumbel(),
+               LossSpec.clipped()]
 
 
 class TestRowGrads:
@@ -296,6 +299,23 @@ class TestRowGrads:
                 else:
                     want = loss_values(spec, row)
                 assert out.tobytes() == want.tobytes(), spec
+
+    # interleaved, each kernel's rows are scattered; grouped, each gumbel and series
+    # group of one beta is contiguous and writes its gradients in place
+    @pytest.mark.parametrize("values", (False, True))
+    @pytest.mark.parametrize("grouped", (False, True), ids=("interleaved", "grouped"))
+    def test_a_kernel_fills_a_given_out_as_it_fills_its_own(self, values, grouped):
+        specs = (sorted(EDGE_SPECS, key=lambda spec: (spec.variant, spec.beta, spec.order or 0))
+                 if grouped else [EDGE_SPECS[i] for i in np.random.default_rng(11).permutation(
+                     len(EDGE_SPECS))])
+        residuals = edge_residuals(len(specs))
+        kernel = _row_kernel(tuple(specs), residuals.shape[1], values=values)
+        buf = np.full_like(residuals, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = kernel(residuals)
+            assert kernel(residuals, buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert residuals.tobytes() == edge_residuals(len(specs)).tobytes()
 
     @pytest.mark.parametrize("spec", EDGE_SPECS, ids=lambda spec: f"{spec.variant}{spec.order or ''}")
     def test_fused_values_and_grads_match_the_separate_paths(self, spec):

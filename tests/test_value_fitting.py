@@ -1,13 +1,29 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from gumbelkit.losses import LossSpec, clipped_gumbel_loss, expanded_gumbel_loss
-from gumbelkit.mdp import TabularMdp, behavior_value, generate_dataset, soft_value, zoo
+from gumbelkit.losses import (
+    VARIANTS,
+    LossSpec,
+    clipped_gumbel_loss,
+    expanded_gumbel_loss,
+    loss_grads,
+)
+from gumbelkit.mdp import (
+    DatasetCounts,
+    TabularMdp,
+    behavior_value,
+    generate_dataset,
+    soft_value,
+    zoo,
+)
 from gumbelkit.rng import stream
 from gumbelkit.value_fitting import TrainConfig, ValueTables, q_step, train, train_many, v_step
 
@@ -179,6 +195,110 @@ class TestVStep:
         assert out.diverged and out.iterations == 1 and out.v[0] == math.inf
         assert out.divergence_note == "table entries went non-finite at iteration 1"
         assert out.trace.shape == (0, 3)
+
+
+def reference_v_step(v, q, counts, loss, lr, steps):
+    """Gradient-mode v_step as a scalar loop, one row and one state at a time, with
+    every check on every step: the loop that v_step's chunked fast pass must
+    reproduce bit for bit, notes included."""
+    rows, weights = counts.pair_states, counts.pair_weights
+    v_out, notes = np.array(v, dtype=float), []
+    with np.errstate(all="ignore"):
+        for k, (spec, rate) in enumerate(zip(loss, lr)):
+            v_row, note = v_out[k].copy(), ""
+            for _ in range(steps):
+                residuals = q[k][counts.observed] - v_row[rows]
+                bad = [p for p, r in enumerate(residuals) if not math.isfinite(r)]
+                if bad:
+                    note = f"non-finite residual while fitting V at state {rows[bad[0]]}"
+                    break
+                # a clipped row's batch is every pair of the row
+                grads = loss_grads(spec, residuals)
+                stepped = v_row.copy()
+                for state in range(len(v_row)):
+                    pairs = np.flatnonzero(rows == state)
+                    # summed in pair order from 0.0, as a bincount sums
+                    total = 0.0
+                    for p in pairs:
+                        total += weights[p] * grads[p]
+                    if not math.isfinite(total):
+                        worst = max(residuals[pairs], key=abs)
+                        note = (f"non-finite gradient while fitting V at state {state} "
+                                f"(residual about {worst:.6g})")
+                        break
+                    stepped[state] = v_row[state] - total * float(rate)
+                if note:
+                    break
+                v_row = stepped
+            notes.append(note)
+            if not note:
+                v_out[k] = v_row
+    return v_out, notes
+
+
+@st.composite
+def fuzzed_v_steps(draw):
+    """A random dataset summary with absent pairs and states, and a stack of one to six
+    rows, each with its own loss, rate, Q and V, stepped over up to four chunks."""
+    s_count, a_count = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    visits = np.array(draw(st.lists(st.integers(0, 3), min_size=s_count * a_count * s_count,
+                                    max_size=s_count * a_count * s_count)), dtype=float)
+    visits = visits.reshape(s_count, a_count, s_count)
+    visits[draw(st.integers(0, s_count - 1)), draw(st.integers(0, a_count - 1)), 0] += 1
+    counts = DatasetCounts(visits, np.zeros_like(visits), 0.0)
+    k_count = draw(st.integers(1, 6))
+    specs = []
+    for _ in range(k_count):
+        variant = draw(st.sampled_from(VARIANTS))
+        beta = draw(st.floats(1e-3, 1e3) | st.sampled_from([1.0, 0.25, 0.5, 2.0, 1024.0]))
+        specs.append(LossSpec(
+            variant, beta=1.0 if variant == "expectile" else beta,
+            order=2 * draw(st.integers(1, 100)) if variant == "expanded_gumbel" else None,
+            clip=draw(st.sampled_from([0.5, 7.0])) if variant == "clipped_gumbel" else None,
+            tau=draw(st.floats(0.05, 0.95)) if variant == "expectile" else None))
+    # rates up to 1e300 overflow V within a step or two
+    lr = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from([10.0, 1e300]),
+                       min_size=k_count, max_size=k_count))
+    values = st.floats(-10.0, 10.0) | st.floats(-1e300, 1e300)
+    q = np.array(draw(st.lists(values | st.sampled_from([math.inf, -math.inf, math.nan]),
+                               min_size=k_count * s_count * a_count,
+                               max_size=k_count * s_count * a_count)))
+    v = np.array(draw(st.lists(values, min_size=k_count * s_count, max_size=k_count * s_count)))
+    # 250 and 301 steps end in a partial chunk
+    steps = draw(st.sampled_from([1, 7, 100, 101, 250, 301]))
+    return v.reshape(k_count, s_count), q.reshape(k_count, s_count, a_count), counts, specs, lr, steps
+
+
+class TestVStepAgainstScalarLoop:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=fuzzed_v_steps())
+    def test_v_and_notes_match_bit_for_bit(self, case):
+        v, q, counts, specs, lr, steps = case
+        got, notes = v_step(v, q, counts, specs, lr, steps)
+        want, want_notes = reference_v_step(v, q, counts, specs, lr, steps)
+        assert notes == want_notes
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_path_memory_does_not_grow_with_the_steps(self):
+        mdp = zoo("risky5")
+        counts = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"]).counts(5, 2)
+        specs = [LossSpec.expanded(8), LossSpec.gumbel(0.5)]
+        v, q = np.zeros((2, 5)), np.random.default_rng(5).normal(size=(2, 5, 2))
+
+        def peak(steps):
+            # a garbage collection inside the call would count what it allocates
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                v_step(v, q, counts, specs, [0.01, 0.01], steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        peak(1)   # fills the kernel cache
+        assert peak(1_000) == peak(10_000)
 
 
 class TestQStep:

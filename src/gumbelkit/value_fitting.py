@@ -149,9 +149,8 @@ def v_step(
     q_flat, size = q_seen.reshape(-1), k_count * s_count
     rate = np.broadcast_to(np.reshape(lr, (-1, 1)), (k_count, s_count)).astype(float).ravel()
     flat_weights = np.tile(weights, k_count)
-    # every residual |q - v| of a chunk is at most its row's max |q| plus the
-    # chunk's max |V|: rounding is monotone, so while that sum is finite, so is
-    # every residual
+    # a row's reach in a chunk, max |q| plus the chunk's max |V|, bounds every
+    # residual |q - v|, and rounding is monotone: while it is finite, so is each
     q_reach = np.abs(q_seen).max(axis=1, initial=0.0)
     # buffers every step reuses: path[j] is V before the chunk's step j + 1
     path = np.empty((min(_PATH_CHUNK, steps) + 1, k_count, s_count))
@@ -200,7 +199,7 @@ def v_step(
                 state_grad = np.bincount(flat_bins, flat_grads, size)
                 np.multiply(state_grad, rate, state_grad)
                 v_new = np.subtract(v_new, state_grad, flat_path[j + 1])
-            # a non-finite residual, gradient or V leaves the chunk's reach non-finite.
+            # a non-finite residual, gradient or V leaves the row's reach non-finite.
             # The path of such a row is exact up to the step where it broke, if it
             # did, so only those rows are checked, step by step from their path.  An
             # overflow of V lands as an infinity, which the checks catch on the next
@@ -211,8 +210,7 @@ def v_step(
             if suspects.size:
                 check(suspects, span)
     v_new = v_new.reshape(k_count, s_count).copy()
-    broken = ~unbroken
-    v_new[broken] = v[broken]
+    v_new[~unbroken] = v[~unbroken]
     return v_new, notes
 
 

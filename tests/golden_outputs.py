@@ -65,6 +65,9 @@ RUNS = {
     "mdp-train-chain3-beta2-all": ["mdp-train", "--mdp", "chain3", "--beta", "2",
                                    "--orders", "2,20", "--include", "gumbel,clipped,expectile,l2",
                                    "--dataset", "rollout", "--outer", "60"],
+    # table order puts l2 after expectile and gumbel, splitting the series rows
+    "mdp-train-risky5-all": ["mdp-train", "--mdp", "risky5",
+                             "--include", "gumbel,clipped,expectile,l2"],
     # 250 V steps an outer iteration: two full 100-step chunks and a partial one
     "mdp-train-risky5-v250": ["mdp-train", "--mdp", "risky5", "--v-steps", "250", "--outer", "20"],
     # 6 of 10 pairs drawn and state 1 never visited

@@ -359,7 +359,7 @@ def _cmd_mdp_train(args, parser) -> int:
     if os.path.exists(args.mdp):
         try:
             mdp = load_mdp(args.mdp)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             parser.error(f"cannot load MDP file {args.mdp!r}: {err}")
         mdp_name = mdp.name or os.path.basename(args.mdp)
     else:

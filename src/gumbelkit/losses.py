@@ -126,70 +126,95 @@ def _like_input(out: np.ndarray, template) -> float | np.ndarray:
 # Unchecked kernels on float arrays, behind the spec dispatch.  They leave
 # overflow to come out as inf or NaN: their callers hold the np.errstate.
 
-def _horner(z, coeffs):
-    """sum_k coeffs[k] * z**(k + 1), by Horner's scheme from the top coefficient.
+def _horner(z, coeffs, out):
+    """sum_k coeffs[k] * z**(k + 1) by Horner's scheme from the top coefficient, into ``out``.
 
     Each coefficient is a scalar, or a (rows, batch) array zero-padded above
-    each row's own top term.  A zero leading coefficient keeps acc at +-0 until
+    each row's own top term.  A zero leading coefficient keeps out at +-0 until
     the row's top term, where (+-0 + c) * z == c * z, so each row matches its
     unpadded evaluation bit for bit wherever z is finite.
     """
-    acc = coeffs[-1] * z
+    np.multiply(coeffs[-1], z, out)
     for c in coeffs[-2::-1]:
-        acc += c
-        acc *= z
-    return acc
+        np.add(out, c, out)
+        np.multiply(out, z, out)
+    return out
+
+
+def _kind(spec: LossSpec) -> str:
+    return "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
 
 
 def _series_coeffs(spec: LossSpec, values: bool) -> tuple[float, ...]:
     """The Horner coefficients of a series variant (l2 is order 2), for the values
     (1 / j! for j = 2 .. order) or the gradients (1 / k! for k = 1 .. order - 1),
     order - 1 long; empty for every other variant."""
-    if spec.variant not in ("expanded_gumbel", "l2"):
+    if _kind(spec) != "series":
         return ()
     inverse = _recip_factorials(spec.order or 2)
     return inverse[2:] if values else inverse[1:-1]
 
 
-def _variant_terms(variant: str, values: bool, beta, clip, tau, coeffs, r):
-    """The loss values of one kernel, or without ``values`` its gradients with
-    respect to the prediction.
+def _variant_terms(kind: str, beta, clip, tau, coeffs, r):
+    """The loss values of one kernel (see :func:`_kind`).
 
     The parameters are the scalars of one spec, or of rows that share them (see
     :func:`_row_kernel`); beta may also be an array of one value per row, shaped
     to broadcast against the residuals.  The residuals come last, so a kernel is
     this function with the rest bound.  The clipped terms share their batch's
-    maximum along the last axis, floored at -1.  Every variant not named here is
-    a series: values z * sum_{j=2..n} z**(j-1) / j!, gradients -(1/beta)
-    sum_{k=1..n-1} z**k / k!, by a Horner pass over ``coeffs``, those of the
-    output asked for.
+    maximum along the last axis, floored at -1.  A series is z * sum_{j=2..n}
+    z**(j-1) / j!, by a Horner pass over ``coeffs``.
     """
-    if variant == "gumbel":
-        z = r / beta
-        e = np.exp(z)
-        return e - z - 1.0 if values else (1.0 - e) / beta
-    if variant == "clipped_gumbel":
-        zraw = r / beta
-        z = np.clip(zraw, -clip, clip)
+    if kind == "expectile":
+        return np.where(r < 0, 1.0 - tau, tau) * r * r
+    z = r / beta
+    if kind == "gumbel":
+        return np.exp(z) - z - 1.0
+    if kind == "clipped_gumbel":
+        z = np.clip(z, -clip, clip)
         m = np.maximum(z.max(axis=-1, keepdims=True), -1.0)
         em = np.exp(-m)
-        return (np.exp(z - m) - z * em - em if values
-                else np.where(np.abs(zraw) <= clip, em * (1.0 - np.exp(z)) / beta, 0.0))
-    if variant == "expectile":
-        w = np.where(r < 0, 1.0 - tau, tau)
-        return w * r * r if values else -2.0 * w * r
-    z = r / beta
+        return np.exp(z - m) - z * em - em
     # every even-order series is +inf at an infinite z, where a row padded with
     # zeros above its own order would form 0 * inf = NaN
-    return (np.where(np.isinf(z), np.inf, _horner(z, coeffs) * z) if values
-            else -_horner(z, coeffs) / beta)
+    return np.where(np.isinf(z), np.inf, _horner(z, coeffs, np.empty_like(z)) * z)
+
+
+def _write_grads(kind: str, beta, clip, tau, coeffs, r, out=None):
+    """The gradients of :func:`_variant_terms` with respect to the prediction,
+    written into ``out`` (allocated if None) and returned; ``r`` is only read.
+
+    A series' -(1/beta) sum_{k=1..n-1} z**k / k! is the order n - 1 truncation
+    of gumbel's (1 - e**z) / beta.  At beta exactly 1.0 the divides are skipped,
+    since x / 1.0 == x, and the series' (-h) / beta is taken as h / (-beta),
+    since IEEE division is sign-symmetric.
+    """
+    if out is None:
+        out = np.empty_like(r)
+    unit = isinstance(beta, float) and beta == 1.0
+    if kind == "series":
+        _horner(r if unit else r / beta, coeffs, out)
+        return np.negative(out, out) if unit else np.divide(out, -beta, out)
+    if kind == "gumbel":
+        np.exp(r if unit else np.divide(r, beta, out), out)
+        np.subtract(1.0, out, out)
+        return out if unit else np.divide(out, beta, out)
+    if kind == "clipped_gumbel":
+        zraw = r / beta
+        z = np.clip(zraw, -clip, clip)
+        np.subtract(1.0, np.exp(z, out), out)
+        np.multiply(np.exp(-np.maximum(z.max(axis=-1, keepdims=True), -1.0)), out, out)
+        np.divide(out, beta, out)
+        out[~(np.abs(zraw) <= clip)] = 0.0  # clamped samples, and NaN ones
+        return out
+    return np.multiply(np.multiply(-2.0, np.where(r < 0, 1.0 - tau, tau), out), r, out)
 
 
 def _spec_kernel(spec: LossSpec, values: bool = False, beta=None):
-    """:func:`_variant_terms` of one spec, bound; ``beta``, such as an array of per-row
-    temperatures, stands in for the spec's own."""
-    return partial(_variant_terms, spec.variant, values, spec.beta if beta is None else beta,
-                   spec.clip, spec.tau, _series_coeffs(spec, values))
+    """:func:`_variant_terms` or, without ``values``, :func:`_write_grads` of one spec, bound;
+    ``beta``, such as an array of per-row temperatures, stands in for the spec's own."""
+    return partial(_variant_terms if values else _write_grads, _kind(spec),
+                   spec.beta if beta is None else beta, spec.clip, spec.tau, _series_coeffs(spec, values))
 
 
 # the natural log of the largest float is 709.8; a series bound held 20 below it
@@ -220,31 +245,13 @@ def _loss_finite_within(spec: LossSpec, reach, beta):
     return z < math.exp((_SERIES_LOG_LIMIT - math.log(n)) / n)
 
 
-def _write_grads(kind: str, beta: float, coeffs, r: np.ndarray, out: np.ndarray) -> None:
-    """The gradients of :func:`_variant_terms` for a gumbel or series group, written
-    into ``out`` by positional-out ufunc calls.
-
-    Bit for bit the same wherever z is finite: at beta exactly 1.0 both divides
-    are skipped, since x / 1.0 == x for every double, and the series' (-h) / beta
-    is taken as h / (-beta), since IEEE division is sign-symmetric.
-    """
-    if kind == "gumbel":
-        if beta != 1.0:
-            r = np.divide(r, beta, out)
-        np.exp(r, out)
-        np.subtract(1.0, out, out)
-        if beta != 1.0:
-            np.divide(out, beta, out)
-        return
-    z = r if beta == 1.0 else r / beta
-    np.multiply(coeffs[-1], z, out)
-    for c in coeffs[-2::-1]:
-        np.add(out, c, out)
-        np.multiply(out, z, out)
-    if beta == 1.0:
-        np.negative(out, out)
-    else:
-        np.divide(out, -beta, out)
+def _groups(specs) -> dict[tuple, list[int]]:
+    """The indices of the specs that share a kernel and its scalar parameters,
+    under their (kind, beta, clip, tau), in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((_kind(spec), spec.beta, spec.clip, spec.tau), []).append(i)
+    return groups
 
 
 @lru_cache(maxsize=64)
@@ -252,21 +259,16 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     """Gradient (or loss-value) function for (rows, batch) residuals whose row i is under specs[i].
 
     The function takes the residuals and an optional ``out`` of their shape,
-    which it fills and returns; without one it allocates it.  Rows that share a
-    kernel and its scalar parameters are evaluated in one call per group; the
-    series variants (expanded and l2) share one Horner pass up to their highest
-    order.  A gumbel or series group whose rows are contiguous writes its
-    gradients straight into ``out`` (:func:`_write_grads`).  Each row equals
-    ``loss_grads`` (or ``loss_values``, but with a clipped row as one batch) of
-    specs[i] on it, bit for bit wherever residual / beta is finite; where it
-    overflows, both are non-finite.
+    which it fills and returns; without one it allocates it.  Each group of
+    :func:`_groups` is one call of its kernel, the series variants (expanded
+    and l2) sharing one Horner pass up to their highest order.  A gradient group
+    whose rows are contiguous writes into ``out[rows]``; any other group is
+    assigned there.  Each row equals ``loss_grads`` (or ``loss_values``, but
+    with a clipped row as one batch) of specs[i] on it, bit for bit wherever
+    residual / beta is finite; where it overflows, both are non-finite.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        kind = "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
-        groups.setdefault((kind, spec.beta, spec.clip, spec.tau), []).append(i)
     parts = []
-    for (kind, *params), members in groups.items():
+    for (kind, *params), members in _groups(specs).items():
         series = [_series_coeffs(specs[i], values) for i in members]
         table = np.zeros((max(map(len, series)), len(members), 1))
         for row, c in enumerate(series):
@@ -274,18 +276,16 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
         # spread to the full (rows, batch) shape up front, since numpy dispatches
         # same-shape operands faster than broadcast ones
         coeffs = list(np.repeat(table, batch, axis=2))
-        contiguous = members[-1] - members[0] + 1 == len(members)
-        rows = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
-        if contiguous and kind in ("gumbel", "series") and not values:
-            parts.append((rows, True, partial(_write_grads, kind, params[0], coeffs)))
-        else:
-            parts.append((rows, False, partial(_variant_terms, kind, values, *params, coeffs)))
+        rows = np.array(members)
+        if not values and rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(members[0], members[-1] + 1)
+        parts.append((rows, partial(_variant_terms if values else _write_grads, kind, *params, coeffs)))
 
     def kernel(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty_like(residuals)
-        for rows, in_place, part in parts:
-            if in_place:
+        for rows, part in parts:
+            if type(rows) is slice:
                 part(residuals[rows], out[rows])
             else:
                 out[rows] = part(residuals[rows])

@@ -59,6 +59,9 @@ class TabularMdp:
             raise ValueError(f"reward must be (S, A) = {(s, a)}, got {reward.shape}")
         if policy.shape != (s, a):
             raise ValueError(f"behavior_policy must be (S, A) = {(s, a)}, got {policy.shape}")
+        for name, arr in (("transition", transition), ("reward", reward), ("behavior_policy", policy)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} entries must be finite")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if np.any(transition < 0) or np.any(np.abs(transition.sum(axis=2) - 1.0) > _ROW_SUM_TOL):

@@ -290,8 +290,9 @@ def run_cells(configs: list[RegressionConfig]) -> list[RegressionTrace]:
             grads_of = _spec_kernel(loss, beta=np.repeat(beta[:, None], batch, axis=1))
             path = np.empty((span + 1, live.size))
             path[0] = h
+            residuals, grads = np.empty((2, live.size, batch))
             for j in range(span):
-                grads = grads_of(drawn[:, j] - h[:, None])
+                grads_of(np.subtract(drawn[:, j], h[:, None], residuals), grads)
                 # numpy's float64 mean, without its Python wrapper
                 h = np.subtract(h, first.lr * (np.add.reduce(grads, axis=-1) / batch),
                                 out=path[j + 1])

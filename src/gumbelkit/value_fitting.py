@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossSpec, _row_kernel
+from .losses import LossSpec, _groups, _row_kernel
 from .mdp import DatasetCounts, OfflineDataset, TabularMdp
 
 __all__ = [
@@ -280,7 +280,9 @@ def train_many(
     # row i, iteration j + 1: (max change of V, V loss, Q loss); doubled as iterations
     # run, up to outer, so its size follows them
     traces = np.full((len(configs), min(outer, 64), 3), np.nan)
-    live = np.arange(len(configs))  # the config of each row
+    # the config of each row, in kernel group order, so that each group's rows are
+    # contiguous and its gradients are written in place (see losses._row_kernel)
+    live = np.array([i for rows in _groups([c.loss for c in configs]).values() for i in rows])
     v = np.zeros((len(configs), s_count))
     q = np.zeros((len(configs), s_count, a_count))
 

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -437,6 +438,26 @@ class TestMdpTrainCommand:
         assert run_cli(["mdp-train", "--mdp", path, "--orders", "2", "--mode", "closed",
                         "--out", out]) == 0
         assert read_rows(out)[0]["mdp"] == "bandit1"
+
+    # json reads NaN, so a file can hold one; null and a top-level array are
+    # well-formed JSON that is not an MDP
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["reward"].__setitem__(0, float("nan")), "reward entries must be finite"),
+        (lambda doc: doc["transition"].__setitem__(0, float("nan")), "transition entries must be finite"),
+        (lambda doc: doc.__setitem__("gamma", None), "cannot load MDP file"),
+        (lambda doc: doc.clear(), "cannot load MDP file"),
+        (lambda doc: [doc], "cannot load MDP file"),
+    ], ids=["nan-reward", "nan-transition", "null-gamma", "empty-object", "array"])
+    def test_a_malformed_mdp_file_is_a_usage_error(self, tmp_path, capsys, edit, message):
+        from gumbelkit.mdp import save_mdp, zoo
+
+        path = tmp_path / "bad.json"
+        save_mdp(zoo("bandit1"), path)
+        doc = json.loads(path.read_text())
+        doc = edit(doc) or doc
+        path.write_text(json.dumps(doc))
+        with mock.patch.object(cli, "train_many", side_effect=AssertionError("a fit started")):
+            assert_usage_error(["mdp-train", "--mdp", path], tmp_path / "x.csv", capsys, message)
 
     def test_manifest_records_clip(self, tmp_path):
         runs = {}

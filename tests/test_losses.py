@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -318,7 +319,7 @@ class TestRowGrads:
         assert residuals.tobytes() == edge_residuals(len(specs)).tobytes()
 
     @pytest.mark.parametrize("spec", EDGE_SPECS, ids=lambda spec: f"{spec.variant}{spec.order or ''}")
-    def test_fused_values_and_grads_match_the_separate_paths(self, spec):
+    def test_spec_kernels_match_the_per_row_paths(self, spec):
         residuals = edge_residuals(3)
         with np.errstate(over="ignore", invalid="ignore"):
             values = _spec_kernel(spec, values=True)(residuals)
@@ -330,6 +331,63 @@ class TestRowGrads:
                 assert np.mean(got_values) == clipped_gumbel_loss(row, spec.beta, spec.clip)
             else:
                 assert got_values.tobytes() == loss_values(spec, row).tobytes()
+
+
+def spec_id(spec):
+    return f"{spec.variant}{spec.order or ''}-beta{spec.beta:g}"
+
+
+class TestWriteGrads:
+    """The one gradient writer of each variant, as ``_spec_kernel`` binds it."""
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS, ids=spec_id)
+    def test_a_given_out_is_filled_as_a_fresh_one_and_r_is_only_read(self, spec):
+        residuals = edge_residuals(3)
+        kernel = _spec_kernel(spec)
+        buf = np.full_like(residuals, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = kernel(residuals)
+            assert kernel(residuals, buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert residuals.tobytes() == edge_residuals(3).tobytes()
+
+    # the writers whose results the parent wrote through np.where and one
+    # expression; in place they must give the same bytes
+    @pytest.mark.parametrize("spec", [LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0),
+                                      LossSpec.clipped(), LossSpec.expectile(0.3),
+                                      LossSpec.expectile(0.9)], ids=spec_id)
+    def test_clipped_and_expectile_write_their_closed_forms(self, spec):
+        # non-finite residuals too, as a diverging value fit forms them
+        r = np.hstack([edge_residuals(4), np.tile([np.nan, np.inf, -np.inf], (4, 1))])
+        out = np.full_like(r, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _spec_kernel(spec)(r, out)
+            if spec.variant == "expectile":
+                w = np.where(r < 0, 1.0 - spec.tau, spec.tau)
+                want = -2.0 * w * r
+            else:
+                zraw = r / spec.beta
+                z = np.clip(zraw, -spec.clip, spec.clip)
+                em = np.exp(-np.maximum(z.max(axis=-1, keepdims=True), -1.0))
+                want = np.where(np.abs(zraw) <= spec.clip, em * (1.0 - np.exp(z)) / spec.beta, 0.0)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [LossSpec.gumbel(), LossSpec.clipped(1.5, 2.0), LossSpec.l2(),
+                                      LossSpec.expanded(4), LossSpec.expanded(20),
+                                      LossSpec.expanded(200), LossSpec.expectile(0.3)], ids=spec_id)
+    @pytest.mark.parametrize("shape", ("column", "full"))
+    def test_an_array_beta_matches_each_row_under_its_own_scalar_beta(self, spec, shape):
+        betas = np.array([0.5, 1.0, 2.0, 3.0, 1e-3, 1e3])
+        residuals = edge_residuals(len(betas))
+        beta = betas[:, None]
+        if shape == "full":
+            beta = np.repeat(beta, residuals.shape[1], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _spec_kernel(spec, beta=beta)(residuals, np.empty_like(residuals))
+        assert residuals.tobytes() == edge_residuals(len(betas)).tobytes()
+        for b, row, out in zip(betas, residuals, got):
+            solo = dataclasses.replace(spec, beta=float(b))
+            assert out.tobytes() == loss_grads(solo, row).tobytes(), solo
 
 
 class TestNoRuntimeWarnings:

@@ -47,6 +47,16 @@ class TestTabularMdp:
         with pytest.raises(ValueError):
             TabularMdp(np.ones((1, 1, 1)), np.zeros((1, 1)), 1.0, np.ones((1, 1)))
 
+    # json reads NaN and Infinity, so a file can hold them
+    @pytest.mark.parametrize("table", ("transition", "reward", "behavior_policy"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_entries_rejected(self, table, bad):
+        mdp = zoo("bandit1")
+        tables = {name: getattr(mdp, name).copy() for name in ("transition", "reward", "behavior_policy")}
+        tables[table].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{table} entries must be finite$"):
+            TabularMdp(gamma=mdp.gamma, **tables)
+
     def test_tables_are_frozen(self):
         mdp = zoo("bandit1")
         with pytest.raises(ValueError):

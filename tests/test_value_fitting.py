@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from gumbelkit import value_fitting
 from gumbelkit.losses import (
     VARIANTS,
     LossSpec,
@@ -586,6 +588,25 @@ class TestTrainMany:
                                 LossSpec.expanded(20, 0.05))]
         stacked = train_many(mdp, data, configs)
         assert np.isposinf(stacked[0].trace[-1, 1])
+        for out, config in zip(stacked, configs):
+            assert_same_tables(out, train(mdp, data, config))
+
+    def test_rows_step_in_kernel_group_order_and_come_back_in_config_order(self):
+        # table order puts l2 after gumbel and expectile, splitting the series rows
+        mdp = zoo("risky5")
+        data = generate_dataset(mdp, "exhaustive", EXACT_SIZES["risky5"])
+        specs = [LossSpec.expanded(4), LossSpec.expanded(8), LossSpec.clipped(),
+                 LossSpec.expectile(0.7), LossSpec.gumbel(), LossSpec.l2()]
+        configs = [TrainConfig(loss=spec, v_steps=10, outer_iterations=20) for spec in specs]
+        stepped = []
+
+        def recording(v, q, counts, loss, *args, **kwargs):
+            stepped.append(list(loss))
+            return v_step(v, q, counts, loss, *args, **kwargs)
+
+        with mock.patch.object(value_fitting, "v_step", recording):
+            stacked = train_many(mdp, data, configs)
+        assert stepped[0] == [specs[i] for i in (0, 1, 5, 2, 3, 4)]
         for out, config in zip(stacked, configs):
             assert_same_tables(out, train(mdp, data, config))
 

@@ -351,8 +351,7 @@ class TestWriteGrads:
         assert buf.tobytes() == want.tobytes()
         assert residuals.tobytes() == edge_residuals(3).tobytes()
 
-    # the writers whose results the parent wrote through np.where and one
-    # expression; in place they must give the same bytes
+    # each closed form as one expression; the in-place writer must give its bytes
     @pytest.mark.parametrize("spec", [LossSpec.clipped(1.5, 2.0), LossSpec.clipped(0.5, 7.0),
                                       LossSpec.clipped(), LossSpec.expectile(0.3),
                                       LossSpec.expectile(0.9)], ids=spec_id)

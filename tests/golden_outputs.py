@@ -15,6 +15,7 @@ may round differently elsewhere, so ``test_golden_outputs.py`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,12 +44,21 @@ REGRESS_FLAGS = {
 }
 
 # run name -> argv without --out; a run writes <name>.csv, and compare reads two
-# earlier runs' CSVs by name
+# earlier runs' CSVs by name, and others read the files of write_inputs by name
 RUNS = {
     **{f"regress-r{repeats}-{flags}": ["regress", "--repeats", str(repeats), *argv]
        for repeats in (1, 10) for flags, argv in REGRESS_FLAGS.items()},
     "compare": ["compare", "regress-r10-gumbel.csv", "regress-r10-order8.csv"],
+    "compare-student": ["compare", "regress-r10-gumbel.csv", "regress-r10-order8.csv",
+                        "--student"],
+    "regress-r10-logsumexp": ["regress", "--repeats", "10", "--target", "logsumexp"],
+    # a key set both in the file and by a flag, where the flag wins
+    "regress-config": ["regress", "--config", "regress.cfg", "--repeats", "3"],
     "mdp-train": ["mdp-train"],
+    "mdp-train-chain3-closed-l2": ["mdp-train", "--mdp", "chain3", "--mode", "closed",
+                                   "--orders", "2", "--include", "l2"],
+    # a file saved with an empty name is named by its base name
+    "mdp-train-file": ["mdp-train", "--mdp", "unnamed-bandit1.json", "--orders", "2"],
     "mdp-train-bandit1-all": ["mdp-train", "--mdp", "bandit1",
                               "--include", "gumbel,clipped,expectile,l2"],
     "loss-curve": ["loss-curve"],
@@ -120,15 +130,28 @@ def stdout_digest(done: subprocess.CompletedProcess) -> str:
     return hashlib.sha256(done.stdout.encode()).hexdigest()
 
 
+def write_inputs(directory: str) -> None:
+    """The files the runs read besides earlier runs' CSVs: a regress config file
+    and bandit1 saved with an empty name."""
+    from gumbelkit.mdp import save_mdp, zoo
+
+    with open(os.path.join(directory, "regress.cfg"), "w", encoding="utf-8") as fh:
+        fh.write("repeats = 2\ndata_size = 500\nbetas = 0.5,2\nfixed_dataset = yes\n")
+    save_mdp(dataclasses.replace(zoo("bandit1"), name=""),
+             os.path.join(directory, "unnamed-bandit1.json"))
+
+
 def run_all() -> dict:
     """The CSV and manifest sha256 of every run, run in order in one temporary directory."""
     from gumbelkit.cli import main
 
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
         for name, argv in RUNS.items():
             # a manifest names files by their base names only
-            argv = [os.path.join(tmp, arg) if arg.endswith(".csv") else arg for arg in argv]
+            argv = [os.path.join(tmp, arg) if arg.endswith((".csv", ".cfg", ".json")) else arg
+                    for arg in argv]
             out = os.path.join(tmp, f"{name}.csv")
             if main([*argv, "--out", out]) != 0:
                 raise RuntimeError(f"{name} failed")

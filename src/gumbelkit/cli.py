@@ -114,6 +114,13 @@ def _write_manifest(out_path: str, subcommand: str, seed: int, config: dict) -> 
             fh.write(f"{key}={entries[key]}\n")
 
 
+def _flag_settings(args, **resolved) -> dict:
+    """A manifest's settings: each flag of the run but --seed and --out, the
+    values it resolved in place of theirs."""
+    return {**{key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "seed", "out")}, **resolved}
+
+
 def _parse_reals(text: str, parser: argparse.ArgumentParser, what: str, form: str) -> list[float]:
     """The finite reals of a colon list shaped like ``form``, such as lo:hi."""
     try:
@@ -212,23 +219,17 @@ def _loss_specs(args, parser, task: str) -> list[LossSpec]:
     return specs
 
 
-def _cmd_loss_curve(args, parser) -> int:
+def _cmd_loss_curve(args, parser):
     grid = _parse_grid(args.grid, parser)
     specs = _loss_specs(args, parser, "tabulate")
     residuals = grid.tolist()
     rows = ((spec.variant, _blank_none(spec.order), args.beta, z, val)
             for spec in specs
             for z, val in zip(residuals, np.atleast_1d(loss_values(spec, grid)).tolist()))
-    _write_csv(args.out, ("loss_variant", "order", "beta", "residual", "loss"), rows)
-    _write_manifest(
-        args.out, "loss-curve", args.seed,
-        {"beta": args.beta, "orders": args.orders, "include": args.include, "grid": args.grid,
-         "clip": args.clip, "tau": args.tau},
-    )
-    return 0
+    return ("loss_variant", "order", "beta", "residual", "loss"), rows, _flag_settings(args)
 
 
-def _cmd_err_dist(args, parser) -> int:
+def _cmd_err_dist(args, parser):
     lo, hi = _parse_bounds(args.bounds, parser)
     if not 3 <= args.points <= MAX_DENSITY_POINTS:
         parser.error(f"--points must be at least 3 and at most {MAX_DENSITY_POINTS}, got {args.points}")
@@ -240,17 +241,10 @@ def _cmd_err_dist(args, parser) -> int:
     rows = ((spec.variant, _blank_none(spec.order), args.beta, z, dens, integral)
             for spec, curve, integral in zip(specs, curves, integrals)
             for z, dens in curve.rows())
-    _write_csv(
-        args.out,
-        ("loss_variant", "order", "beta", "z", "density", "curve_integral"),
-        rows,
-    )
-    config = {"beta": args.beta, "orders": args.orders, "include": args.include,
-              "clip": args.clip, "tau": args.tau, "bounds": args.bounds, "points": args.points}
-    config.update({f"normalizer.{_loss_key(spec)}": curve.normalizer
-                   for spec, curve in zip(specs, curves)})
-    _write_manifest(args.out, "err-dist", args.seed, config)
-    return 0
+    normalizers = {f"normalizer.{_loss_key(spec)}": curve.normalizer
+                   for spec, curve in zip(specs, curves)}
+    return (("loss_variant", "order", "beta", "z", "density", "curve_integral"), rows,
+            _flag_settings(args, **normalizers))
 
 
 def _read_config_file(path: str, parser) -> dict:
@@ -306,11 +300,13 @@ def _regress_settings(args, parser) -> dict:
     return settings
 
 
-def _cmd_regress(args, parser) -> int:
+def _cmd_regress(args, parser):
     cfg = _regress_settings(args, parser)
-    beta_list = tuple(_parse_floats(cfg["betas"], parser, "betas")) if cfg["betas"] else DEFAULT_BETAS
-    if not all(math.isfinite(b) and b > 0 for b in beta_list):
-        parser.error(f"betas must be positive finite reals, got {cfg['betas']!r}")
+    # compare keys rows by cell, so a repeated beta would overwrite a cell's rows
+    beta_list = DEFAULT_BETAS if cfg["betas"] is None else tuple(_parse_floats(cfg["betas"], parser, "betas"))
+    if not (beta_list and len(set(beta_list)) == len(beta_list)
+            and all(math.isfinite(b) and b > 0 for b in beta_list)):
+        parser.error(f"betas must be one or more distinct positive finite reals, got {cfg['betas']!r}")
     escape = cfg["escape_factor"]
     _check_clip_tau(parser, cfg["clip"], cfg["tau"])
     # reference spec at beta 1; run_experiment re-keys beta per cell
@@ -337,25 +333,17 @@ def _cmd_regress(args, parser) -> int:
                      f"batches and random streams, over the cap of {MAX_CELL_BYTES}: lower "
                      f"--repeats, --data-size or --batch-size")
     cells = run_experiment(base, betas=beta_list)
-    _write_csv(args.out, EXPERIMENT_COLUMNS, experiment_rows(cells))
-    _write_manifest(
-        args.out, "regress", args.seed,
-        {
-            "loss": spec.variant, "order": _blank_none(spec.order),
-            "clip": _blank_none(spec.clip),
-            "tau": _blank_none(spec.tau),
-            "betas": ",".join(repr(b) for b in sorted(beta_list)),
-            "repeats": cfg["repeats"], "data_size": cfg["data_size"], "lr": cfg["lr"],
-            "batch_size": cfg["batch_size"], "init_h": cfg["init_h"], "target": cfg["target"],
-            "checkpoints": ",".join(str(c) for c in DEFAULT_CHECKPOINTS),
-            "resample_data": not cfg["fixed_dataset"],
-            "escape_factor": "none" if escape is None else escape,
-        },
-    )
-    return 0
+    # popped first: unpacking cfg would keep the key
+    resample = not cfg.pop("fixed_dataset")
+    return EXPERIMENT_COLUMNS, experiment_rows(cells), {
+        **cfg, "loss": spec.variant, "order": _blank_none(spec.order),
+        "clip": _blank_none(spec.clip), "tau": _blank_none(spec.tau),
+        "betas": ",".join(repr(b) for b in sorted(beta_list)),
+        "escape_factor": "none" if escape is None else escape, "resample_data": resample,
+        "checkpoints": ",".join(str(c) for c in DEFAULT_CHECKPOINTS)}
 
 
-def _cmd_mdp_train(args, parser) -> int:
+def _cmd_mdp_train(args, parser):
     if os.path.exists(args.mdp):
         try:
             mdp = load_mdp(args.mdp)
@@ -410,20 +398,9 @@ def _cmd_mdp_train(args, parser) -> int:
              tables.iterations, int(tables.converged), int(tables.diverged))
             for spec, tables in zip(specs, train_many(mdp, dataset, configs))
             for s in range(mdp.num_states))
-    _write_csv(
-        args.out,
-        ("mdp", "loss_variant", "order", "beta", "state", "v_fitted", "v_behavior",
-         "v_soft", "gap_behavior", "gap_soft", "iterations", "converged", "diverged"),
-        rows,
-    )
-    _write_manifest(
-        args.out, "mdp-train", args.seed,
-        {"mdp": mdp_name, "beta": args.beta, "orders": args.orders, "include": args.include,
-         "clip": args.clip, "tau": args.tau, "mode": args.mode, "dataset": args.dataset,
-         "dataset_size": size, "lr_v": lr_v, "v_steps": args.v_steps, "outer": args.outer,
-         "tol": args.tol},
-    )
-    return 0
+    return (("mdp", "loss_variant", "order", "beta", "state", "v_fitted", "v_behavior",
+             "v_soft", "gap_behavior", "gap_soft", "iterations", "converged", "diverged"),
+            rows, _flag_settings(args, mdp=mdp_name, dataset_size=size, lr_v=lr_v))
 
 
 def _read_result_csv(path: str, parser) -> dict:
@@ -442,7 +419,7 @@ def _read_result_csv(path: str, parser) -> dict:
         parser.error(f"cannot read {path}: {err}")
 
 
-def _cmd_compare(args, parser) -> int:
+def _cmd_compare(args, parser):
     if not 0 < args.alpha < 1:
         parser.error(f"alpha must lie in (0, 1), got {args.alpha}")
     table_a = _read_result_csv(args.csv_a, parser)
@@ -471,18 +448,10 @@ def _cmd_compare(args, parser) -> int:
             + [n_a, mean_a, std_a, n_b, mean_b, std_b, result.t, result.dof, result.p,
                "significant" if result.p < args.alpha else "ok"]
         )
-    _write_csv(
-        args.out,
-        ("cell_beta_data", "cell_beta_reg", "checkpoint", "n_a", "mean_a", "std_a",
-         "n_b", "mean_b", "std_b", "t_stat", "dof", "p_value", "flag"),
-        rows,
-    )
-    _write_manifest(
-        args.out, "compare", args.seed,
-        {"csv_a": os.path.basename(args.csv_a), "csv_b": os.path.basename(args.csv_b),
-         "kind": kind, "alpha": args.alpha},
-    )
-    return 0
+    return (("cell_beta_data", "cell_beta_reg", "checkpoint", "n_a", "mean_a", "std_a",
+             "n_b", "mean_b", "std_b", "t_stat", "dof", "p_value", "flag"), rows,
+            {"csv_a": os.path.basename(args.csv_a), "csv_b": os.path.basename(args.csv_b),
+             "kind": kind, "alpha": args.alpha})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,10 +555,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        return args.func(args, parser)
+        header, rows, settings = args.func(args, parser)
+        _write_csv(args.out, header, rows)
+        _write_manifest(args.out, args.command, args.seed, settings)
     except (OSError, ValueError, MemoryError) as err:
         print(f"gumbelkit: {str(err) or 'out of memory'}", file=sys.stderr)
         sys.exit(1)
+    return 0
 
 
 if __name__ == "__main__":

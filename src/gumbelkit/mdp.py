@@ -348,11 +348,16 @@ def load_mdp(path) -> TabularMdp:
     """Read an MDP from the JSON layout written by :func:`save_mdp`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    s, a = int(doc["num_states"]), int(doc["num_actions"])
+    s, a, name = doc["num_states"], doc["num_actions"], doc.get("name", "")
+    # a JSON integer, not a bool or a real such as 2.0 that int() would truncate
+    if type(s) is not int or type(a) is not int:
+        raise ValueError(f"num_states and num_actions must be integers, got {s!r} and {a!r}")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     return TabularMdp(
         transition=np.asarray(doc["transition"], dtype=float).reshape(s, a, s),
         reward=np.asarray(doc["reward"], dtype=float).reshape(s, a),
         gamma=float(doc["gamma"]),
         behavior_policy=np.asarray(doc["behavior_policy"], dtype=float).reshape(s, a),
-        name=str(doc.get("name", "")),
+        name=name,
     )

@@ -8,7 +8,8 @@ may round differently elsewhere, so ``test_golden_outputs.py`` and
 ``test_demos.py`` compare only on a matching machine.
 
     python tests/golden_outputs.py              # name each changed output, with
-                                                # its recorded and fresh sha256 prefix
+                                                # its recorded and fresh sha256 prefix;
+                                                # exits 2 on another machine
     python tests/golden_outputs.py --update     # rewrite golden_outputs.json
 """
 
@@ -178,6 +179,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true", help=f"rewrite {GOLDEN.name}")
     args = parser.parse_args(argv)
+    if not args.update:
+        golden = json.loads(GOLDEN.read_text())
+        mismatch = machine_mismatch(golden)
+        if mismatch:
+            print(mismatch, file=sys.stderr)
+            return 2
     digests = run_all()
     demos = {}
     for demo in DEMOS:
@@ -189,7 +196,7 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps({**machine(), "runs": digests, "demos": demos}, indent=1) + "\n")
         print(f"wrote {len(digests)} runs and {len(demos)} demos to {GOLDEN}")
         return 0
-    changed = changes(json.loads(GOLDEN.read_text()), digests, demos)
+    changed = changes(golden, digests, demos)
     for line in changed:
         print(line)
     return 1 if changed else 0

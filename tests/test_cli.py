@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -374,6 +375,22 @@ class TestRegressCommand:
         with pytest.raises(SystemExit):
             run_cli(["regress", "--loss", "expanded", "--out", tmp_path / "x.csv"])
 
+    # compare keys rows by (beta_data, beta_reg, checkpoint), so a repeated beta
+    # would overwrite a cell's rows; an empty list ran the default grid or no cell
+    @pytest.mark.parametrize("betas", ("", ",", "2,2", "2,2.0"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_an_empty_or_repeated_beta_list_is_a_usage_error(self, tmp_path, capsys, source,
+                                                             betas):
+        args = ["regress", "--repeats", "2", "--data-size", "50"]
+        if source == "flag":
+            args += ["--betas", betas]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"betas = {betas}\n")
+            args += ["--config", str(cfg)]
+        with refuse_runs():
+            assert_usage_error(args, tmp_path / "x.csv", capsys, "betas must be")
+
 
 class TestMdpTrainCommand:
     def test_squared_loss_gap_to_behavior_value(self, tmp_path):
@@ -447,7 +464,12 @@ class TestMdpTrainCommand:
         (lambda doc: doc.__setitem__("gamma", None), "cannot load MDP file"),
         (lambda doc: doc.clear(), "cannot load MDP file"),
         (lambda doc: [doc], "cannot load MDP file"),
-    ], ids=["nan-reward", "nan-transition", "null-gamma", "empty-object", "array"])
+        (lambda doc: doc.__setitem__("num_states", 1.9), "must be integers"),
+        (lambda doc: doc.__setitem__("num_actions", 2.0), "must be integers"),
+        (lambda doc: doc.__setitem__("num_states", True), "must be integers"),
+        (lambda doc: doc.__setitem__("name", None), "name must be a string"),
+    ], ids=["nan-reward", "nan-transition", "null-gamma", "empty-object", "array",
+            "real-states", "integral-real-actions", "bool-states", "null-name"])
     def test_a_malformed_mdp_file_is_a_usage_error(self, tmp_path, capsys, edit, message):
         from gumbelkit.mdp import save_mdp, zoo
 
@@ -483,6 +505,36 @@ class TestClosedMode:
     def test_every_squared_loss_is_accepted(self, tmp_path):
         assert run_cli(["mdp-train", "--mdp", "bandit1", "--mode", "closed", "--orders", "2",
                         "--include", "l2", "--outer", "20", "--out", tmp_path / "x.csv"]) == 0
+
+
+def flag_dests(command):
+    """The dests of a subcommand's flags, as build_parser declares them."""
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return {action.dest for action in subparsers.choices[command]._actions
+            if action.option_strings and action.dest != "help"}
+
+
+class TestManifestContract:
+    # each flag but --seed and --out is a config entry; regress records its
+    # resolved settings, which name --fixed-dataset by what it turns off
+    @pytest.mark.parametrize("argv,dropped,added", [
+        (["loss-curve", "--grid", "0:1:0.5"], set(), set()),
+        (["err-dist", "--points", "11", "--orders", "2", "--include", "l2"], set(),
+         {"normalizer.expanded_gumbel_2", "normalizer.l2"}),
+        (["mdp-train", "--mdp", "bandit1", "--orders", "2", "--outer", "20"], set(), set()),
+        (["regress", "--repeats", "2", "--data-size", "50", "--betas", "1"],
+         {"config", "fixed_dataset"}, {"resample_data", "checkpoints"}),
+    ], ids=("loss-curve", "err-dist", "mdp-train", "regress"))
+    def test_the_config_entries_are_the_flags_of_the_subcommand(self, tmp_path, argv, dropped,
+                                                                added):
+        out = tmp_path / "x.csv"
+        assert run_cli(argv + ["--out", out]) == 0
+        keys = {line.partition("=")[0]
+                for line in (tmp_path / "x.csv.manifest.txt").read_text().splitlines()}
+        config = {key.removeprefix("config.") for key in keys if key.startswith("config.")}
+        assert config == (flag_dests(argv[0]) - {"seed", "out"} - dropped) | added
+        assert len(keys) == len(config) + 4
 
 
 def assert_usage_error(args, out, capsys, message):

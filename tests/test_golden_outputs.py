@@ -35,3 +35,17 @@ def test_a_changed_output_is_named_with_both_digest_prefixes():
         f"changed: new csv: recorded none, fresh {'5' * 16}",
         f"changed: demo d: recorded {'3' * 16}, fresh {'6' * 16}",
     ]
+
+
+def test_another_machine_exits_2_before_running_anything(monkeypatch, capsys):
+    import golden_outputs
+
+    monkeypatch.setattr(golden_outputs, "machine",
+                        lambda: {"numpy": "0.0", "cpu_features": {}})
+    monkeypatch.setattr(golden_outputs, "run_all", lambda: pytest.fail("a run started"))
+    monkeypatch.setattr(golden_outputs, "run_demo", lambda demo: pytest.fail("a demo started"))
+    assert golden_outputs.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"golden digests were recorded under another numpy: "
+                   f"{RECORDED['numpy']!r}, here '0.0'\n")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -214,3 +215,21 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.behavior_policy, mdp.behavior_policy)
         assert loaded.gamma == mdp.gamma
         assert loaded.name == "risky5"
+
+    # int() would read 1.9 as 1 and True as 1, and str() would name an MDP "None"
+    @pytest.mark.parametrize("key,value,message", [
+        ("num_states", 1.9, "must be integers"),
+        ("num_states", 1.0, "must be integers"),
+        ("num_actions", True, "must be integers"),
+        ("num_actions", "2", "must be integers"),
+        ("name", None, "name must be a string"),
+        ("name", 3, "name must be a string"),
+    ])
+    def test_counts_must_be_integers_and_the_name_a_string(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.json"
+        save_mdp(zoo("bandit1"), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_mdp(path)

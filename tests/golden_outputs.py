@@ -79,6 +79,13 @@ RUNS = {
     # table order puts l2 after expectile and gumbel, splitting the series rows
     "mdp-train-risky5-all": ["mdp-train", "--mdp", "risky5",
                              "--include", "gumbel,clipped,expectile,l2"],
+    # spaces around list pieces, which each piece's cast strips
+    "loss-curve-spaced": ["loss-curve", "--orders", " 2, 4", "--include", " gumbel, l2",
+                          "--grid", " -1: 1: 0.5"],
+    "err-dist-spaced": ["err-dist", "--orders", "2 ,4 ", "--bounds", " -10 : 10", "--points", "101"],
+    "mdp-train-bandit1-spaced": ["mdp-train", "--mdp", "bandit1", "--orders", " 2",
+                                 "--include", "l2 , gumbel "],
+    "regress-r1-spaced-betas": ["regress", "--repeats", "1", "--betas", " 0.5, 2"],
     # 250 V steps an outer iteration: two full 100-step chunks and a partial one
     "mdp-train-risky5-v250": ["mdp-train", "--mdp", "risky5", "--v-steps", "250", "--outer", "20"],
     # 6 of 10 pairs drawn and state 1 never visited

@@ -121,12 +121,20 @@ def _flag_settings(args, **resolved) -> dict:
                if key not in ("command", "func", "seed", "out")}, **resolved}
 
 
+def _parse_list(text: str, parser: argparse.ArgumentParser, what: str, cast, sep: str = ",") -> list:
+    """Each piece of a ``sep`` list, cast; an empty or uncastable piece is a usage error."""
+    pieces = text.split(sep)
+    try:
+        if all(piece.strip() for piece in pieces):
+            return [cast(piece) for piece in pieces]
+    except ValueError:
+        pass
+    parser.error(f"{what} must be a {sep!r} list with no empty or malformed piece, got {text!r}")
+
+
 def _parse_reals(text: str, parser: argparse.ArgumentParser, what: str, form: str) -> list[float]:
     """The finite reals of a colon list shaped like ``form``, such as lo:hi."""
-    try:
-        parts = [float(piece) for piece in text.split(":")]
-    except ValueError:
-        parts = []
+    parts = _parse_list(text, parser, what, float, ":")
     if len(parts) != form.count(":") + 1 or not all(map(math.isfinite, parts)):
         parser.error(f"{what} must look like {form} with finite parts, got {text!r}")
     return parts
@@ -150,25 +158,11 @@ def _parse_bounds(text: str, parser: argparse.ArgumentParser) -> tuple[float, fl
 
 
 def _parse_orders(text: str, parser: argparse.ArgumentParser) -> list[int]:
-    if not text.strip():
-        return []
-    orders = []
-    for piece in text.split(","):
-        try:
-            n = int(piece)
-        except ValueError:
-            parser.error(f"orders must be integers, got {piece!r}")
+    orders = _parse_list(text, parser, "orders", int) if text.strip() else []
+    for n in orders:
         if n < 2 or n % 2 != 0:
             parser.error(f"order must be even and >= 2, got {n}")
-        orders.append(n)
     return orders
-
-
-def _parse_floats(text: str, parser: argparse.ArgumentParser, what: str) -> list[float]:
-    try:
-        return [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        parser.error(f"{what} must be a comma list of reals, got {text!r}")
 
 
 def _build_spec(parser, variant_alias: str, beta: float, order: int | None,
@@ -206,10 +200,11 @@ def _loss_specs(args, parser, task: str) -> list[LossSpec]:
     if not (math.isfinite(args.beta) and args.beta > 0):
         parser.error(f"beta must be a positive finite real, got {args.beta}")
     _check_clip_tau(parser, args.clip, args.tau)
-    include = [s.strip() for s in args.include.split(",") if s.strip() and s.strip() != "none"]
+    include = _parse_list(args.include, parser, "include", str.strip) if args.include.strip() else []
     specs = [_build_spec(parser, "expanded", args.beta, n, args.clip, args.tau)
              for n in _parse_orders(args.orders, parser)]
-    specs += [_build_spec(parser, alias, args.beta, None, args.clip, args.tau) for alias in include]
+    specs += [_build_spec(parser, alias, args.beta, None, args.clip, args.tau)
+              for alias in include if alias != "none"]
     if not specs:
         parser.error(f"nothing to {task}: give --orders and/or --include")
     specs.sort(key=lambda spec: (spec.variant, spec.order or 0))
@@ -247,22 +242,8 @@ def _cmd_err_dist(args, parser):
             _flag_settings(args, **normalizers))
 
 
-def _read_config_file(path: str, parser) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    parser.error(f"config line must look like key = value, got {line!r}")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as err:
-        parser.error(f"cannot read config file: {err}")
-    return values
-
+# the values of the fixed_dataset config key, in any case
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 # every regress setting, keyed by its flag's dest and config-file key: (default, cast)
 _REGRESS_SETTINGS = {
@@ -278,22 +259,36 @@ _REGRESS_SETTINGS = {
     "init_h": (1.0, float),
     "target": ("minimizer", str),
     "escape_factor": (20.0, _escape_factor),
-    "fixed_dataset": (False, lambda text: text.lower() in ("1", "true", "yes")),
+    "fixed_dataset": (False, lambda text: _SWITCH[text.lower()]),
 }
 
 
 def _regress_settings(args, parser) -> dict:
-    """Each regress setting from its flag, else from the --config file, else its default."""
-    file_cfg = _read_config_file(args.config, parser) if args.config else {}
-    unknown = sorted(set(file_cfg) - set(_REGRESS_SETTINGS))
-    if unknown:
-        parser.error(f"unknown config key(s) {', '.join(unknown)}; "
-                     f"known: {', '.join(sorted(_REGRESS_SETTINGS))}")
+    """Each regress setting from its flag, else from the --config file's one line
+    of ``key = value`` for it, else its default."""
     settings = {key: default for key, (default, _) in _REGRESS_SETTINGS.items()}
-    for key, text in file_cfg.items():
+    lines, seen = [], set()
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh]
+        except (OSError, UnicodeDecodeError) as err:
+            parser.error(f"cannot read config file: {err}")
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            parser.error(f"config line must look like key = value, got {line!r}")
+        key, _, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if key not in _REGRESS_SETTINGS:
+            parser.error(f"unknown config key(s) {key}; known: {', '.join(sorted(_REGRESS_SETTINGS))}")
+        if key in seen:
+            parser.error(f"config file {args.config!r}: key {key} is set twice")
+        seen.add(key)
         try:
             settings[key] = _REGRESS_SETTINGS[key][1](text)
-        except (ValueError, argparse.ArgumentTypeError):
+        except (ValueError, KeyError, argparse.ArgumentTypeError):
             parser.error(f"config file {args.config!r}: bad value {text!r} for key {key}")
     # a flag left out leaves no attribute (the parser's default is SUPPRESS)
     settings.update({key: value for key, value in vars(args).items() if key in settings})
@@ -303,8 +298,8 @@ def _regress_settings(args, parser) -> dict:
 def _cmd_regress(args, parser):
     cfg = _regress_settings(args, parser)
     # compare keys rows by cell, so a repeated beta would overwrite a cell's rows
-    beta_list = DEFAULT_BETAS if cfg["betas"] is None else tuple(_parse_floats(cfg["betas"], parser, "betas"))
-    if not (beta_list and len(set(beta_list)) == len(beta_list)
+    beta_list = DEFAULT_BETAS if cfg["betas"] is None else tuple(_parse_list(cfg["betas"], parser, "betas", float))
+    if not (len(set(beta_list)) == len(beta_list)
             and all(math.isfinite(b) and b > 0 for b in beta_list)):
         parser.error(f"betas must be one or more distinct positive finite reals, got {cfg['betas']!r}")
     escape = cfg["escape_factor"]
@@ -361,6 +356,8 @@ def _cmd_mdp_train(args, parser):
         mdp_name = args.mdp
     specs = _loss_specs(args, parser, "train")
     lr_v = args.lr_v if args.lr_v is not None else 0.002 * args.beta * args.beta
+    if args.lr_v is None and not (math.isfinite(lr_v) and lr_v > 0):
+        parser.error(f"--lr-v defaults to 0.002 * beta^2, here {lr_v}, which is not positive and finite")
     try:
         configs = [
             TrainConfig(

@@ -87,6 +87,21 @@ def test_a_grid_over_the_point_cap_is_a_usage_error(tmp_path, capsys, value):
                        f"at most {MAX_GRID_POINTS} points")
 
 
+# every list flag refuses an empty or blank piece, whatever its separator
+@pytest.mark.parametrize("command,flag,value", [
+    ("loss-curve", "--include", "gumbel,,l2"),
+    ("loss-curve", "--include", "gumbel, "),
+    ("mdp-train", "--include", ",l2"),
+    ("loss-curve", "--orders", "2,"),
+    ("loss-curve", "--grid", "-1::1"),
+    ("err-dist", "--bounds", "-1:"),
+])
+def test_an_empty_list_piece_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    with refuse_runs():
+        assert_usage_error([command, flag, value], tmp_path / "x.csv", capsys,
+                           f"{flag[2:]} must be a")
+
+
 def test_a_grid_at_the_point_cap_is_parsed():
     parser = build_parser()
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", parser)) == MAX_GRID_POINTS
@@ -371,13 +386,49 @@ class TestRegressCommand:
         manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
         assert "config.escape_factor=none" in manifest
 
+    def test_a_config_key_set_twice_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats = 2\nbetas = 2\nrepeats = 3\n")
+        with refuse_runs():
+            assert_usage_error(["regress", "--config", str(cfg)], tmp_path / "x.csv", capsys,
+                               f"config file {str(cfg)!r}: key repeats is set twice")
+
+    @pytest.mark.parametrize("value", ("ture", "2", "on", ""))
+    def test_a_fixed_dataset_config_value_not_a_switch_is_a_usage_error(self, tmp_path, capsys,
+                                                                          value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fixed_dataset = {value}\n")
+        with refuse_runs():
+            assert_usage_error(["regress", "--config", str(cfg)], tmp_path / "x.csv", capsys,
+                               f"bad value {value!r} for key fixed_dataset")
+
+    @pytest.mark.parametrize("value,fixed", [("TRUE", True), ("Yes", True), ("1", True),
+                                             ("False", False), ("NO", False), ("0", False)])
+    def test_a_fixed_dataset_config_value_is_a_switch_in_any_case(self, tmp_path, value, fixed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fixed_dataset = {value}\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(["regress", "--config", cfg, "--betas", "2", "--repeats", "2",
+                        "--data-size", "50", "--out", out]) == 0
+        manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
+        assert f"config.resample_data={not fixed}" in manifest
+
+    @pytest.mark.parametrize("content", (None, b"repeats = 2\xff\n"), ids=("missing", "not-utf-8"))
+    def test_an_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        with refuse_runs():
+            assert_usage_error(["regress", "--config", str(cfg)], tmp_path / "x.csv", capsys,
+                               "cannot read config file")
+
     def test_expanded_requires_order(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(["regress", "--loss", "expanded", "--out", tmp_path / "x.csv"])
 
     # compare keys rows by (beta_data, beta_reg, checkpoint), so a repeated beta
     # would overwrite a cell's rows; an empty list ran the default grid or no cell
-    @pytest.mark.parametrize("betas", ("", ",", "2,2", "2,2.0"))
+    @pytest.mark.parametrize("betas", ("", ",", "1,,2", "1,", "2,2", "2,2.0"))
     @pytest.mark.parametrize("source", ("flag", "config"))
     def test_an_empty_or_repeated_beta_list_is_a_usage_error(self, tmp_path, capsys, source,
                                                              betas):
@@ -413,6 +464,14 @@ class TestMdpTrainCommand:
             worst[n] = max(worst.get(n, 0.0), abs(float(r["gap_soft"])))
         gaps = [worst[n] for n in (4, 8, 12, 20)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    # 0.002 * beta^2 underflows to 0.0 at the smallest beta and overflows at the largest
+    @pytest.mark.parametrize("beta,lr_v", [("1e-300", "0.0"), ("1e200", "inf")])
+    def test_a_default_lr_v_that_is_not_positive_and_finite_is_a_usage_error(self, tmp_path,
+                                                                             capsys, beta, lr_v):
+        with refuse_runs():
+            assert_usage_error(["mdp-train", "--mdp", "bandit1", "--beta", beta], tmp_path / "x.csv",
+                               capsys, f"--lr-v defaults to 0.002 * beta^2, here {lr_v},")
 
     @pytest.mark.parametrize("dataset,loaded", [([], False), (["--dataset", "rollout"], True)],
                              ids=["exhaustive", "rollout"])
@@ -737,7 +796,8 @@ FUZZ_RUNS = {
         ["loss-curve", "--include", "gumbel,clipped,expectile"],
         {"--beta": "1.0", "--clip": "7", "--tau": "0.7"},
         {},
-        {"--grid": (":", ("-3", "3", "0.5")), "--orders": (",", ("2", "4"))},
+        {"--grid": (":", ("-3", "3", "0.5")), "--orders": (",", ("2", "4")),
+         "--include": (",", ("gumbel", "l2"))},
     ),
     "err-dist": (
         ["err-dist", "--points", "11", "--include", "expectile"],
@@ -746,7 +806,7 @@ FUZZ_RUNS = {
         {"--bounds": (":", ("-10", "10")), "--orders": (",", ("2", "4"))},
     ),
 }
-SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300")
+SPECIAL_PARTS = ("nan", "inf", "-inf", "1e300", "")
 # the counts a fuzzed line may set over their caps, and the values it draws there
 CAPPED = {
     "regress": {flag: (OVER_CAP,) for flag in ("--repeats", "--data-size", "--batch-size")},
@@ -770,8 +830,10 @@ def fuzzed_flags(reals, counts, lists, capped):
 
 
 def is_bad_part(flag, part):
-    """A part that is not a finite real, or not an integer for --orders."""
-    return part in ("nan", "inf", "-inf") or (flag == "--orders" and part == "1e300")
+    """An empty part, or one that is not a finite real, not an integer for --orders
+    or not a loss name for --include."""
+    return (part in ("", "nan", "inf", "-inf") or (flag == "--orders" and part == "1e300")
+            or (flag == "--include" and part in SPECIAL_PARTS))
 
 
 def is_bad_list(flag, parts):
@@ -827,6 +889,7 @@ class TestFuzzedFlags:
     # lines the fuzzer can draw but its derandomized examples miss
     @pytest.mark.parametrize("command,flags", [
         ("loss-curve", {"--grid": "-3:1e300:0.5"}),   # finite parts, 2e300 points
+        ("regress", {"--betas": "0.5,"}),
         ("regress", {"--repeats": OVER_CAP, "--data-size": "-1"}),
         ("regress", {"--batch-size": OVER_CAP, "--lr": "nan"}),
         ("err-dist", {"--points": OVER_CAP, "--bounds": "nan:10"}),

@@ -83,6 +83,9 @@ RUNS = {
     "loss-curve-spaced": ["loss-curve", "--orders", " 2, 4", "--include", " gumbel, l2",
                           "--grid", " -1: 1: 0.5"],
     "err-dist-spaced": ["err-dist", "--orders", "2 ,4 ", "--bounds", " -10 : 10", "--points", "101"],
+    # an expectile density beside the order-2 and l2 ones
+    "err-dist-expectile": ["err-dist", "--orders", "2", "--include", "expectile,l2",
+                           "--points", "301", "--bounds", "-12:12"],
     "mdp-train-bandit1-spaced": ["mdp-train", "--mdp", "bandit1", "--orders", " 2",
                                  "--include", "l2 , gumbel "],
     "regress-r1-spaced-betas": ["regress", "--repeats", "1", "--betas", " 0.5, 2"],

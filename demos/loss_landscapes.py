@@ -11,13 +11,7 @@ Run:  python demos/loss_landscapes.py
 
 import numpy as np
 
-from gumbelkit import (
-    LossSpec,
-    expanded_gumbel_loss_grad,
-    gumbel_loss,
-    gumbel_loss_grad,
-    loss_curve,
-)
+from gumbelkit import LossSpec, loss_curve, loss_grads, loss_values
 
 grid = np.linspace(-3.0, 3.0, 13)
 
@@ -37,14 +31,14 @@ for i, z in enumerate(grid):
 
 print()
 print("gradient magnitude on the steep side (z = 3):")
-print(f"  exponential: {abs(gumbel_loss_grad(3.0, 1.0)):.3f}")
+print(f"  exponential: {abs(loss_grads(LossSpec.gumbel(), 3.0)):.3f}")
 for order in (2, 4, 8):
-    print(f"  order {order:>2}:    {abs(expanded_gumbel_loss_grad(3.0, 1.0, order)):.3f}")
+    print(f"  order {order:>2}:    {abs(loss_grads(LossSpec.expanded(order), 3.0)):.3f}")
 
 print()
 print("largest deviation from the exponential loss on [-2, 2]:")
 dense = np.linspace(-2.0, 2.0, 801)
-reference = gumbel_loss(dense, 1.0)
+reference = loss_values(LossSpec.gumbel(), dense)
 for order in (2, 4, 8, 12, 16):
     dev = np.max(np.abs(loss_curve(LossSpec.expanded(order), dense)[:, 1] - reference))
     print(f"  order {order:>2}: {dev:.3e}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import implied_error_density
-from .losses import VARIANTS, LossSpec, loss_values
+from .losses import VARIANTS, LossSpec, loss_curve
 from .mdp import behavior_value, generate_dataset, load_mdp, soft_value, zoo, zoo_names
 from .regression import (
     DEFAULT_BETAS,
@@ -217,10 +217,8 @@ def _loss_specs(args, parser, task: str) -> list[LossSpec]:
 def _cmd_loss_curve(args, parser):
     grid = _parse_grid(args.grid, parser)
     specs = _loss_specs(args, parser, "tabulate")
-    residuals = grid.tolist()
     rows = ((spec.variant, _blank_none(spec.order), args.beta, z, val)
-            for spec in specs
-            for z, val in zip(residuals, np.atleast_1d(loss_values(spec, grid)).tolist()))
+            for spec in specs for z, val in zip(*loss_curve(spec, grid).T.tolist()))
     return ("loss_variant", "order", "beta", "residual", "loss"), rows, _flag_settings(args)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, loss_values
+from .losses import LossSpec, loss_curve, loss_values
 
 __all__ = [
     "GumbelParams",
@@ -71,7 +71,7 @@ class DensityCurve:
 def gumbel_quantile(u, params: GumbelParams):
     """Inverse CDF: location - scale * ln(-ln u), reflected when negated."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     centered = -params.scale * np.log(-np.log(u_arr))
     if params.negated:
@@ -143,7 +143,7 @@ def implied_error_density(spec: LossSpec, grid) -> DensityCurve:
         raise ValueError("grid must be finite and strictly ascending")
 
     def unnormalized(t: float) -> float:
-        return math.exp(-float(loss_values(spec, t)))
+        return math.exp(-loss_values(spec, t))
 
     lo, hi = unnormalized(pts[0]), unnormalized(pts[-1])
     if lo > TAIL_THRESHOLD or hi > TAIL_THRESHOLD:
@@ -154,5 +154,5 @@ def implied_error_density(spec: LossSpec, grid) -> DensityCurve:
     normalizer = _adaptive_simpson(unnormalized, float(pts[0]), float(pts[-1]))
     if not (normalizer > 0 and math.isfinite(normalizer)):
         raise ValueError(f"normalizer must be positive and finite, got {normalizer}")
-    density = np.exp(-np.asarray(loss_values(spec, pts), dtype=float)) / normalizer
+    density = np.exp(-loss_curve(spec, pts)[:, 1]) / normalizer
     return DensityCurve(grid=pts, density=density, normalizer=normalizer)

@@ -2,18 +2,17 @@
 
 Residual convention, fixed across the whole package: ``residual = sample -
 prediction`` (x - h, and Q - V in the value-learning modules).  Every loss
-works on the scaled residual z = residual / beta.  Losses return per-sample
-values and leave batch reduction to the caller, with one exception:
-:func:`clipped_gumbel_loss` subtracts the batch maximum inside the
-exponential, which couples the samples, so it is inherently a batch mean.
-The batch is the last axis: a (repeats, batch) array is that many batches,
-each with its own maximum.
+works on the scaled residual z = residual / beta.
 
-Parameters are checked once, when a :class:`LossSpec` is built.  The
-standalone kernels build one from their arguments, check that the residuals
-are finite and dispatch through :func:`loss_values` or :func:`loss_grads`,
-which trust the spec and take the residuals as finite: every caller in the
-package checks them first.
+A :class:`LossSpec` names one loss; its parameters are checked once, when it is
+built.  :func:`loss_values` and :func:`loss_grads` evaluate any spec.  They
+reject a non-finite residual and an empty clipped batch, and take the batch on
+the last axis: a (repeats, batch) array is that many batches, and a scalar is a
+batch of one that gives a float.  Only the clipped variant couples a batch,
+through its shared maximum; every other variant is per sample, and leaves the
+batch reduction to the caller.  :func:`loss_curve` is the pointwise reading,
+each grid point its own batch.  The training loops call the unchecked kernels
+of :func:`_spec_kernel` and :func:`_row_kernel` directly.
 
 The exponential is evaluated in double precision.  When e**z overflows, the
 result is returned as an IEEE infinity instead of raising, so a training loop
@@ -32,14 +31,6 @@ import numpy as np
 __all__ = [
     "LossSpec",
     "VARIANTS",
-    "gumbel_loss",
-    "gumbel_loss_grad",
-    "clipped_gumbel_loss",
-    "clipped_gumbel_loss_grad",
-    "expanded_gumbel_loss",
-    "expanded_gumbel_loss_grad",
-    "expectile_loss",
-    "expectile_loss_grad",
     "loss_values",
     "loss_grads",
     "loss_curve",
@@ -60,6 +51,20 @@ class LossSpec:
     clip         symmetric bound applied to z before the exponential
                  (clipped variant only)
     tau          expectile level in (0, 1) (expectile variant only)
+
+    Each variant's loss, and its gradient with respect to the prediction:
+    - gumbel: e**z - z - 1, zero at zero, exponential where the sample exceeds
+      the prediction and linear on the other side; (1 - e**z) / beta.
+    - clipped_gumbel, XQL's max-normalised batch loss: each z_i is clamped to
+      [-clip, clip] and m is the batch maximum, floored at -1; the term is
+      e**(z_i - m) - z_i e**-m - e**-m, and its gradient e**-m (1 - e**z_i) /
+      beta with m held fixed, or 0 at a clamped sample.
+    - expanded_gumbel: the truncated series sum_{j=2..order} z**j / j!, by
+      Horner's scheme on reciprocal factorials; -(1/beta) sum_{k=1..order-1}
+      z**k / k!.
+    - l2: the order-2 series z**2 / 2; -z / beta.
+    - expectile: |tau - 1[residual < 0]| residual**2, whatever beta;
+      -2 |tau - 1[residual < 0]| residual.
     """
 
     variant: str
@@ -112,17 +117,6 @@ class LossSpec:
         return cls("expectile", tau=tau)
 
 
-def _finite_array(values, name: str = "residual") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def _like_input(out: np.ndarray, template) -> float | np.ndarray:
-    return float(out) if np.ndim(template) == 0 else out
-
-
 # Unchecked kernels on float arrays, behind the spec dispatch.  They leave
 # overflow to come out as inf or NaN: their callers hold the np.errstate.
 
@@ -143,6 +137,17 @@ def _horner(z, coeffs, out):
 
 def _kind(spec: LossSpec) -> str:
     return "series" if spec.variant in ("expanded_gumbel", "l2") else spec.variant
+
+
+@lru_cache(maxsize=None)
+def _recip_factorials(n: int) -> tuple[float, ...]:
+    # 1.0 / j! up to 170!, the largest factorial a float holds; beyond it the
+    # exact int quotient, correctly rounded, underflows smoothly to 0.0.  Held as
+    # numpy scalars, which numpy combines with arrays faster than Python floats
+    return tuple(
+        np.float64(1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j))
+        for j in range(n + 1)
+    )
 
 
 def _series_coeffs(spec: LossSpec, values: bool) -> tuple[float, ...]:
@@ -263,9 +268,9 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     :func:`_groups` is one call of its kernel, the series variants (expanded
     and l2) sharing one Horner pass up to their highest order.  A gradient group
     whose rows are contiguous writes into ``out[rows]``; any other group is
-    assigned there.  Each row equals ``loss_grads`` (or ``loss_values``, but
-    with a clipped row as one batch) of specs[i] on it, bit for bit wherever
-    residual / beta is finite; where it overflows, both are non-finite.
+    assigned there.  Each row equals ``loss_grads`` (or ``loss_values``) of
+    specs[i] on it, bit for bit wherever residual / beta is finite; where it
+    overflows, both are non-finite.
     """
     parts = []
     for (kind, *params), members in _groups(specs).items():
@@ -294,125 +299,35 @@ def _row_kernel(specs: tuple[LossSpec, ...], batch: int, values: bool = False):
     return kernel
 
 
-def gumbel_loss(residual, beta: float):
-    """Per-sample loss e**z - z - 1 with z = residual / beta.
-
-    Zero at zero residual, exponential on the side where the sample exceeds
-    the prediction, linear on the other side.  Overflow of e**z is returned
-    as +inf.
-    """
-    return loss_values(LossSpec.gumbel(beta), _finite_array(residual))
-
-
-def gumbel_loss_grad(residual, beta: float):
-    """Derivative of :func:`gumbel_loss` with respect to the prediction.
-
-    Equals (1 - e**z) / beta; an overflowing e**z yields -inf, which is the
-    mechanism by which mismatched-scale training blows up.
-    """
-    return loss_grads(LossSpec.gumbel(beta), _finite_array(residual))
-
-
-def clipped_gumbel_loss(residuals, beta: float, clip: float) -> float:
-    """Batch mean of the max-normalized, clipped exponential loss.
-
-    Procedure: z_i = clamp(residual_i / beta, -clip, clip); m = max_i z_i,
-    replaced by -1 when it falls below -1; the per-sample term is
-    e**(z_i - m) - z_i e**(-m) - e**(-m).  The shared maximum couples the
-    samples, hence the mean is taken here and not by the caller.
-    """
-    arr = np.atleast_1d(_finite_array(residuals))
-    if arr.size == 0:
-        raise ValueError("clipped_gumbel_loss requires a nonempty batch")
+def _evaluate(spec: LossSpec, residuals, values: bool):
+    r = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals must be finite")
+    if spec.variant == "clipped_gumbel" and r.shape[-1:] == (0,):
+        raise ValueError("a clipped_gumbel batch must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _spec_kernel(LossSpec.clipped(beta, clip), values=True)(arr)
-    return float(np.mean(values))
-
-
-def clipped_gumbel_loss_grad(residuals, beta: float, clip: float) -> np.ndarray:
-    """Per-sample derivative of the clipped batch loss with respect to the prediction.
-
-    The batch maximum is treated as a constant (it is detached in the
-    defining procedure) and clamped samples carry zero gradient.
-    """
-    spec = LossSpec.clipped(beta, clip)
-    arr = np.atleast_1d(_finite_array(residuals))
-    if arr.size == 0:
-        raise ValueError("clipped_gumbel_loss_grad requires a nonempty batch")
-    return loss_grads(spec, arr)
-
-
-@lru_cache(maxsize=None)
-def _recip_factorials(n: int) -> tuple[float, ...]:
-    # 1.0 / j! up to 170!, the largest factorial a float holds; beyond it the
-    # exact int quotient, correctly rounded, underflows smoothly to 0.0.  Held as
-    # numpy scalars, which numpy combines with arrays faster than Python floats
-    return tuple(
-        np.float64(1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j))
-        for j in range(n + 1)
-    )
-
-
-def expanded_gumbel_loss(residual, beta: float, order: int):
-    """Truncated series sum_{j=2..n} z**j / j! with z = residual / beta.
-
-    Evaluated by a Horner scheme on precomputed reciprocal factorials, so no
-    large factorial or high power is formed on its own.  Even orders make the
-    polynomial nonnegative everywhere; order 2 is exactly z**2 / 2.
-    """
-    return loss_values(LossSpec.expanded(order, beta), _finite_array(residual))
-
-
-def expanded_gumbel_loss_grad(residual, beta: float, order: int):
-    """Derivative of :func:`expanded_gumbel_loss` with respect to the prediction.
-
-    Equals -(1/beta) sum_{k=1..n-1} z**k / k!.
-    """
-    return loss_grads(LossSpec.expanded(order, beta), _finite_array(residual))
-
-
-def expectile_loss(residual, tau: float):
-    """Asymmetric squared loss |tau - 1[residual < 0]| * residual**2."""
-    return loss_values(LossSpec.expectile(tau), _finite_array(residual))
-
-
-def expectile_loss_grad(residual, tau: float):
-    """Derivative of :func:`expectile_loss` with respect to the prediction."""
-    return loss_grads(LossSpec.expectile(tau), _finite_array(residual))
+        out = _spec_kernel(spec, values)(np.atleast_1d(r))
+    return out.item() if r.ndim == 0 else out
 
 
 def loss_values(spec: LossSpec, residuals):
-    """Pointwise loss values for any spec, on finite residuals of any shape.
-
-    For the clipped variant each residual is treated as its own batch of one,
-    which matches how a loss curve is read.
-    """
-    r = np.asarray(residuals, dtype=float)
-    batch = r[..., None] if spec.variant == "clipped_gumbel" else r
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _spec_kernel(spec, values=True)(batch)
-    return _like_input(out.reshape(r.shape), residuals)
+    """The loss of each residual under ``spec``, an array of their shape, or a
+    float for a scalar; the batch is the last axis (see the module docstring)."""
+    return _evaluate(spec, residuals, values=True)
 
 
 def loss_grads(spec: LossSpec, residuals):
-    """Per-sample gradients with respect to the prediction for any spec.
-
-    Takes finite residuals with the batch on the last axis.  Batch-coupled
-    for the clipped variant (each batch shares its maximum), independent per
-    sample for every other variant.
-    """
-    r = np.asarray(residuals, dtype=float)
-    if spec.variant == "clipped_gumbel":
-        r = np.atleast_1d(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _spec_kernel(spec)(r)
-    return _like_input(out, r)
+    """The gradient of :func:`loss_values` at each residual with respect to the
+    prediction, batched the same way."""
+    return _evaluate(spec, residuals, values=False)
 
 
 def loss_curve(spec: LossSpec, grid) -> np.ndarray:
-    """Tabulate (residual, loss) pairs over a grid, as a (n, 2) array."""
-    pts = _finite_array(grid, name="grid")
-    if pts.size == 0:
-        raise ValueError("grid must be nonempty")
-    vals = np.atleast_1d(loss_values(spec, pts))
-    return np.column_stack([pts, vals])
+    """(residual, loss) pairs over a nonempty 1-d grid, as a (n, 2) array.
+
+    This is the pointwise reading of a loss: each grid point is its own batch.
+    """
+    pts = np.asarray(grid, dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError(f"grid must be a nonempty 1-d array, got shape {pts.shape}")
+    return np.column_stack([pts, loss_values(spec, pts[:, None])[:, 0]])

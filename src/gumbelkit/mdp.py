@@ -187,8 +187,8 @@ def soft_value(
     The composed operator is a gamma-contraction, so iteration converges for
     any gamma < 1; stops when the max change over V and Q falls below tol.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be a positive finite real, got {beta}")
     v = np.zeros(mdp.num_states)
     q = np.zeros((mdp.num_states, mdp.num_actions))
     for _ in range(max_iterations):

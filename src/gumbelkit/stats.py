@@ -47,6 +47,8 @@ def summarize(samples: Sequence[float]) -> SampleSummary:
         raise ValueError("samples must be nonempty")
     if arr.size < 2:
         raise ValueError("standard deviation needs at least two samples")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     return SampleSummary(n=int(arr.size), mean=float(arr.mean()), std=float(arr.std(ddof=1)))
 
 

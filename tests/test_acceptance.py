@@ -21,13 +21,7 @@ from scipy import stats as sps
 
 from gumbelkit.cli import main as cli_main
 from gumbelkit.distributions import GumbelParams, implied_error_density, sample_gumbel
-from gumbelkit.losses import (
-    LossSpec,
-    expanded_gumbel_loss,
-    expanded_gumbel_loss_grad,
-    gumbel_loss,
-    gumbel_loss_grad,
-)
+from gumbelkit.losses import LossSpec, loss_grads, loss_values
 from gumbelkit.mdp import behavior_value, generate_dataset, soft_value, zoo
 from gumbelkit.regression import (
     RegressionConfig,
@@ -70,7 +64,7 @@ def test_criterion_1_order_two_is_the_scaled_square():
     residuals = np.linspace(-5.0, 5.0, 10_000)
     worst = 0.0
     for beta in (0.5, 1.0, 2.0, 10.0):
-        got = expanded_gumbel_loss(residuals, beta, 2)
+        got = loss_values(LossSpec.expanded(2, beta), residuals)
         expected = residuals**2 / (2.0 * beta * beta)
         worst = max(worst, float(np.max(np.abs(got - expected))))
     elapsed = time.time() - start
@@ -81,12 +75,12 @@ def test_criterion_1_order_two_is_the_scaled_square():
 def test_criterion_2_taylor_remainder_bound_and_shrink():
     start = time.time()
     zs = np.linspace(-2.0, 2.0, 801)
-    reference = gumbel_loss(zs, 1.0)
+    reference = loss_values(LossSpec.gumbel(), zs)
     slack = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(reference))
     max_devs = []
     bound_ok = True
     for order in (2, 4, 8, 12, 16):
-        diff = np.abs(expanded_gumbel_loss(zs, 1.0, order) - reference)
+        diff = np.abs(loss_values(LossSpec.expanded(order), zs) - reference)
         bound = np.abs(zs) ** (order + 1) * np.exp(np.abs(zs)) / math.factorial(order + 1)
         bound_ok = bound_ok and bool(np.all(diff <= bound + slack))
         max_devs.append(float(diff.max()))
@@ -103,17 +97,15 @@ def test_criterion_3_gradients_match_finite_differences():
     residuals = np.linspace(-5.0, 5.0, 40)  # even count: excludes the flat point 0
     worst = 0.0
     for beta in (0.5, 1.0, 2.0, 10.0):
-        fd = (
-            gumbel_loss(residuals - step, beta) - gumbel_loss(residuals + step, beta)
-        ) / (2.0 * step)
-        analytic = gumbel_loss_grad(residuals, beta)
+        spec = LossSpec.gumbel(beta)
+        fd = (loss_values(spec, residuals - step) - loss_values(spec, residuals + step)) / (2.0 * step)
+        analytic = loss_grads(spec, residuals)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / np.maximum(np.abs(analytic), np.abs(fd)))))
         for order in (2, 4, 8, 20):
-            fd_n = (
-                expanded_gumbel_loss(residuals - step, beta, order)
-                - expanded_gumbel_loss(residuals + step, beta, order)
-            ) / (2.0 * step)
-            analytic_n = expanded_gumbel_loss_grad(residuals, beta, order)
+            spec_n = LossSpec.expanded(order, beta)
+            fd_n = (loss_values(spec_n, residuals - step)
+                    - loss_values(spec_n, residuals + step)) / (2.0 * step)
+            analytic_n = loss_grads(spec_n, residuals)
             rel = np.abs(analytic_n - fd_n) / np.maximum(np.abs(analytic_n), np.abs(fd_n))
             worst = max(worst, float(np.max(rel)))
     elapsed = time.time() - start

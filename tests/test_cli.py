@@ -200,7 +200,7 @@ class TestErrDistPointCap:
     ["mdp-train", "--mdp", "bandit1", "--include", "clipped,clipped_gumbel"],
 ])
 def test_a_loss_named_twice_is_a_usage_error(tmp_path, capsys, args):
-    with mock.patch.object(cli, "loss_values", side_effect=AssertionError("a loss was evaluated")), \
+    with mock.patch.object(cli, "loss_curve", side_effect=AssertionError("a loss was evaluated")), \
          mock.patch.object(cli, "implied_error_density",
                            side_effect=AssertionError("a density was built")), \
          mock.patch.object(cli, "train_many", side_effect=AssertionError("a fit started")):

@@ -29,6 +29,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             gumbel_quantile(1.0, GumbelParams())
 
+    def test_quantile_rejects_nan(self):
+        for u in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^u must lie strictly inside \(0, 1\)$"):
+                gumbel_quantile(u, GumbelParams())
+
     def test_negated_flips_centered_draw(self):
         p = GumbelParams(location=3.0, scale=2.0)
         n = GumbelParams(location=3.0, scale=2.0, negated=True)

@@ -7,22 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gumbelkit.losses import (
-    LossSpec,
-    _row_kernel,
-    _spec_kernel,
-    clipped_gumbel_loss,
-    clipped_gumbel_loss_grad,
-    expanded_gumbel_loss,
-    expanded_gumbel_loss_grad,
-    expectile_loss,
-    expectile_loss_grad,
-    gumbel_loss,
-    gumbel_loss_grad,
-    loss_curve,
-    loss_grads,
-    loss_values,
-)
+from gumbelkit.losses import LossSpec, _row_kernel, _spec_kernel, loss_curve, loss_grads, loss_values
 
 BETAS = (0.5, 1.0, 2.0, 10.0)
 ORDERS = (2, 4, 8, 20)
@@ -36,64 +21,66 @@ def central_difference(loss_fn, residual, step=1e-5):
 
 class TestGumbelLoss:
     def test_zero_at_zero(self):
-        assert gumbel_loss(0.0, 1.0) == 0.0
+        assert loss_values(LossSpec.gumbel(), 0.0) == 0.0
 
     def test_closed_forms(self):
-        assert gumbel_loss(1.0, 1.0) == pytest.approx(math.e - 2.0, rel=1e-12)
-        assert gumbel_loss(-1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert loss_values(LossSpec.gumbel(), 1.0) == pytest.approx(math.e - 2.0, rel=1e-12)
+        assert loss_values(LossSpec.gumbel(), -1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_grad_closed_forms(self):
-        assert gumbel_loss_grad(0.0, 1.0) == 0.0
-        assert gumbel_loss_grad(1.0, 1.0) == pytest.approx(1.0 - math.e, rel=1e-12)
+        assert loss_grads(LossSpec.gumbel(), 0.0) == 0.0
+        assert loss_grads(LossSpec.gumbel(), 1.0) == pytest.approx(1.0 - math.e, rel=1e-12)
 
     def test_overflow_returns_inf(self):
-        assert math.isinf(gumbel_loss(800.0, 1.0))
-        assert gumbel_loss_grad(800.0, 1.0) == -math.inf
+        assert math.isinf(loss_values(LossSpec.gumbel(), 800.0))
+        assert loss_grads(LossSpec.gumbel(), 800.0) == -math.inf
 
     def test_nonfinite_residual_rejected(self):
         with pytest.raises(ValueError):
-            gumbel_loss(math.nan, 1.0)
+            loss_values(LossSpec.gumbel(), math.nan)
         with pytest.raises(ValueError):
-            gumbel_loss_grad(math.inf, 1.0)
+            loss_grads(LossSpec.gumbel(), math.inf)
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError):
-            gumbel_loss(1.0, 0.0)
+            loss_values(LossSpec.gumbel(0.0), 1.0)
         with pytest.raises(ValueError):
-            gumbel_loss(1.0, -2.0)
+            loss_values(LossSpec.gumbel(-2.0), 1.0)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_finite_differences(self, beta):
         for r in np.linspace(-5.0, 5.0, 40):  # even count, avoids the flat point at 0
-            fd = central_difference(lambda x: gumbel_loss(x, beta), r)
-            an = gumbel_loss_grad(r, beta)
+            fd = central_difference(lambda x: loss_values(LossSpec.gumbel(beta), x), r)
+            an = loss_grads(LossSpec.gumbel(beta), r)
             assert abs(an - fd) / max(abs(an), abs(fd)) < 1e-6
 
 
 class TestClippedGumbelLoss:
     def test_zero_batch_of_zero(self):
-        assert clipped_gumbel_loss([0.0], 1.0, 7.0) == 0.0
+        assert np.mean(loss_values(LossSpec.clipped(), [0.0])) == 0.0
 
     def test_two_point_batch(self):
         # m = 1: mean of (1 - 2/e) and e**-2
         expected = ((1.0 - 2.0 / math.e) + math.exp(-2.0)) / 2.0
-        assert clipped_gumbel_loss([1.0, -1.0], 1.0, 7.0) == pytest.approx(expected, rel=1e-12)
+        assert np.mean(loss_values(LossSpec.clipped(), [1.0, -1.0])) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_clamp_saturates(self):
-        assert clipped_gumbel_loss([100.0], 1.0, 7.0) == clipped_gumbel_loss([7.0], 1.0, 7.0)
+        spec = LossSpec.clipped()
+        assert np.mean(loss_values(spec, [100.0])) == np.mean(loss_values(spec, [7.0]))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            clipped_gumbel_loss([], 1.0, 7.0)
+            loss_values(LossSpec.clipped(), [])
 
     @given(st.floats(min_value=-0.99, max_value=6.99))
     def test_single_sample_closed_form(self, z):
         # one unclamped sample with z >= -1: m = z, value 1 - (z + 1) e**-z
         expected = 1.0 - (z + 1.0) * math.exp(-z)
-        assert clipped_gumbel_loss([z], 1.0, 7.0) == pytest.approx(expected, abs=1e-12)
+        assert np.mean(loss_values(LossSpec.clipped(), [z])) == pytest.approx(expected, abs=1e-12)
 
     def test_grad_zero_outside_clip(self):
-        grads = clipped_gumbel_loss_grad([100.0, 0.5], 1.0, 7.0)
+        grads = loss_grads(LossSpec.clipped(), [100.0, 0.5])
         assert grads[0] == 0.0
         assert grads[1] != 0.0
 
@@ -102,12 +89,12 @@ class TestClippedGumbelLoss:
         # constant by the defining procedure, so its own derivative drops the
         # coupling term on purpose
         batch = np.array([0.5, -1.2, 2.0])
-        grads = clipped_gumbel_loss_grad(batch, 1.0, 7.0)
+        grads = loss_grads(LossSpec.clipped(), batch)
         for i in (0, 1):
             def mean_loss_at(pred_shift, i=i):
                 shifted = batch.copy()
                 shifted[i] -= pred_shift
-                return clipped_gumbel_loss(shifted, 1.0, 7.0)
+                return np.mean(loss_values(LossSpec.clipped(), shifted))
 
             fd = (mean_loss_at(1e-6) - mean_loss_at(-1e-6)) / 2e-6
             assert grads[i] / len(batch) == pytest.approx(fd, rel=1e-5)
@@ -116,30 +103,30 @@ class TestClippedGumbelLoss:
 class TestExpandedGumbelLoss:
     def test_zero_at_zero(self):
         for beta in BETAS:
-            assert expanded_gumbel_loss(0.0, beta, 8) == 0.0
+            assert loss_values(LossSpec.expanded(8, beta), 0.0) == 0.0
 
     def test_order_two_is_half_square(self):
-        assert expanded_gumbel_loss(1.0, 1.0, 2) == 0.5
+        assert loss_values(LossSpec.expanded(2), 1.0) == 0.5
 
     def test_order_four_series_sum(self):
-        assert expanded_gumbel_loss(1.0, 1.0, 4) == pytest.approx(1/2 + 1/6 + 1/24, rel=1e-12)
+        assert loss_values(LossSpec.expanded(4), 1.0) == pytest.approx(1/2 + 1/6 + 1/24, rel=1e-12)
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
-            expanded_gumbel_loss(1.0, 1.0, 3)
+            loss_values(LossSpec.expanded(3), 1.0)
         with pytest.raises(ValueError):
             LossSpec.expanded(5)
 
     def test_grad_trivials(self):
-        assert expanded_gumbel_loss_grad(0.0, 1.0, 8) == 0.0
-        assert expanded_gumbel_loss_grad(1.0, 1.0, 2) == -1.0
+        assert loss_grads(LossSpec.expanded(8), 0.0) == 0.0
+        assert loss_grads(LossSpec.expanded(2), 1.0) == -1.0
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("order", ORDERS)
     def test_matches_finite_differences(self, beta, order):
         for r in np.linspace(-5.0, 5.0, 40):
-            fd = central_difference(lambda x: expanded_gumbel_loss(x, beta, order), r)
-            an = expanded_gumbel_loss_grad(r, beta, order)
+            fd = central_difference(lambda x: loss_values(LossSpec.expanded(order, beta), x), r)
+            an = loss_grads(LossSpec.expanded(order, beta), r)
             assert abs(an - fd) / max(abs(an), abs(fd)) < 1e-6
 
     @given(
@@ -148,13 +135,13 @@ class TestExpandedGumbelLoss:
         st.integers(min_value=1, max_value=10).map(lambda k: 2 * k),
     )
     def test_nonnegative_for_even_orders(self, residual, beta, order):
-        assert expanded_gumbel_loss(residual, beta, order) >= 0.0
+        assert loss_values(LossSpec.expanded(order, beta), residual) >= 0.0
 
     @given(st.floats(min_value=-30.0, max_value=30.0), st.floats(min_value=0.1, max_value=10.0))
     def test_order_two_equals_l2(self, residual, beta):
         z = residual / beta
         expected = 0.5 * z * z
-        got = expanded_gumbel_loss(residual, beta, 2)
+        got = loss_values(LossSpec.expanded(2, beta), residual)
         assert abs(got - expected) <= 1e-15 * max(1.0, expected)
 
     def test_order_past_the_float_factorials_matches_the_exponential(self):
@@ -168,41 +155,41 @@ class TestExpandedGumbelLoss:
     def test_taylor_remainder_bound(self, order):
         # |T_n(z) - (e^z - z - 1)| <= |z|**(n+1) e**|z| / (n+1)!
         zs = np.linspace(-2.0, 2.0, 801)
-        diff = np.abs(expanded_gumbel_loss(zs, 1.0, order) - gumbel_loss(zs, 1.0))
+        diff = np.abs(loss_values(LossSpec.expanded(order), zs) - loss_values(LossSpec.gumbel(), zs))
         bound = np.abs(zs) ** (order + 1) * np.exp(np.abs(zs)) / math.factorial(order + 1)
-        slack = 8 * np.finfo(float).eps * np.maximum(1.0, gumbel_loss(zs, 1.0))
+        slack = 8 * np.finfo(float).eps * np.maximum(1.0, loss_values(LossSpec.gumbel(), zs))
         assert np.all(diff <= bound + slack)
 
     def test_gradient_never_steeper_than_exponential_on_the_right(self):
         zs = np.linspace(1e-3, 8.0, 200)
-        full = np.abs(gumbel_loss_grad(zs, 1.0))
+        full = np.abs(loss_grads(LossSpec.gumbel(), zs))
         eps = np.finfo(float).eps
         for order in ORDERS:
-            truncated = np.abs(expanded_gumbel_loss_grad(zs, 1.0, order))
+            truncated = np.abs(loss_grads(LossSpec.expanded(order), zs))
             assert np.all(truncated <= full * (1.0 + 8 * eps))
             # strict wherever the tail gap z**n / n! is resolvable in doubles
             resolvable = zs**order / math.factorial(order) > 8 * eps * full
             assert resolvable.any()
             assert np.all(truncated[resolvable] < full[resolvable])
-        assert expanded_gumbel_loss_grad(0.0, 1.0, 8) == gumbel_loss_grad(0.0, 1.0) == 0.0
+        assert loss_grads(LossSpec.expanded(8), 0.0) == loss_grads(LossSpec.gumbel(), 0.0) == 0.0
 
 
 class TestExpectileLoss:
     def test_values(self):
-        assert expectile_loss(1.0, 0.7) == pytest.approx(0.7, rel=1e-12)
-        assert expectile_loss(-1.0, 0.7) == pytest.approx(0.3, rel=1e-12)
-        assert expectile_loss(0.0, 0.3) == 0.0
+        assert loss_values(LossSpec.expectile(0.7), 1.0) == pytest.approx(0.7, rel=1e-12)
+        assert loss_values(LossSpec.expectile(0.7), -1.0) == pytest.approx(0.3, rel=1e-12)
+        assert loss_values(LossSpec.expectile(0.3), 0.0) == 0.0
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
-            expectile_loss(1.0, 0.0)
+            loss_values(LossSpec.expectile(0.0), 1.0)
         with pytest.raises(ValueError):
             LossSpec.expectile(1.0)
 
     def test_grad_matches_finite_differences(self):
         for tau in (0.3, 0.7, 0.9):
             for r in np.linspace(-5.0, 5.0, 40):
-                fd = central_difference(lambda x: expectile_loss(x, tau), r)
+                fd = central_difference(lambda x: loss_values(LossSpec.expectile(tau), x), r)
                 an = loss_grads(LossSpec.expectile(tau), r)
                 assert abs(an - fd) / max(abs(an), abs(fd), 1e-9) < 1e-6
 
@@ -266,6 +253,50 @@ class TestSpecDispatchOnBatches:
                 np.testing.assert_array_equal(got, fn(spec, row))
 
 
+# one spec of each variant, at a beta other than 1 where the variant reads beta
+EVERY_VARIANT = [LossSpec.gumbel(2.0), LossSpec.clipped(2.0, 3.0), LossSpec.expanded(4, 2.0),
+                 LossSpec.l2(2.0), LossSpec.expectile(0.7)]
+
+
+def variant_id(spec):
+    return f"{spec.variant}{spec.order or ''}"
+
+
+class TestCheckedBoundary:
+    """``loss_values`` and ``loss_grads`` check their residuals, take the batch on the
+    last axis, and give a float for a scalar, for every variant alike."""
+
+    @pytest.mark.parametrize("fn", (loss_values, loss_grads))
+    @pytest.mark.parametrize("spec", EVERY_VARIANT, ids=variant_id)
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_a_non_finite_residual_is_rejected(self, fn, spec, bad):
+        for residuals in (bad, [0.5, bad], [[0.5, 1.0], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="^residuals must be finite$"):
+                fn(spec, residuals)
+
+    @pytest.mark.parametrize("fn", (loss_values, loss_grads))
+    @pytest.mark.parametrize("residuals", ([], np.empty((3, 0))), ids=("flat", "rows"))
+    def test_an_empty_clipped_batch_is_rejected_in_one_line(self, fn, residuals):
+        with pytest.raises(ValueError, match="^a clipped_gumbel batch must be nonempty$"):
+            fn(LossSpec.clipped(), residuals)
+
+    @pytest.mark.parametrize("fn", (loss_values, loss_grads))
+    @pytest.mark.parametrize("spec", EVERY_VARIANT, ids=variant_id)
+    def test_a_scalar_is_a_batch_of_one_and_gives_a_float(self, fn, spec):
+        for z in (-1.5, 0.0, 0.5, np.float64(2.5)):
+            got = fn(spec, z)
+            assert type(got) is float
+            assert got == fn(spec, [z])[0]
+
+    def test_loss_curve_reads_the_clipped_loss_pointwise(self):
+        spec = LossSpec.clipped(2.0, 3.0)
+        grid = np.linspace(-10.0, 10.0, 41)
+        table = loss_curve(spec, grid)
+        assert table[:, 1].tolist() == [loss_values(spec, z) for z in grid]
+        # one batch of the whole grid shares its maximum instead
+        assert table[:, 1].tobytes() != loss_values(spec, grid).tobytes()
+
+
 def edge_residuals(rows):
     """Signed zeros, subnormals, the far tails and overflow, plus per-row noise."""
     edges = [-0.0, 0.0, 5e-324, -5e-324, -800.0, 800.0, 1e200, -1e200]
@@ -291,14 +322,7 @@ class TestRowGrads:
         with np.errstate(over="ignore", invalid="ignore"):
             got = _row_kernel(tuple(specs), residuals.shape[1], values=values)(residuals)
             for spec, row, out in zip(specs, residuals, got):
-                if not values:
-                    want = loss_grads(spec, row)
-                elif spec.variant == "clipped_gumbel":
-                    # a clipped row is one batch around its own maximum
-                    assert np.mean(out) == clipped_gumbel_loss(row, spec.beta, spec.clip), spec
-                    continue
-                else:
-                    want = loss_values(spec, row)
+                want = (loss_values if values else loss_grads)(spec, row)
                 assert out.tobytes() == want.tobytes(), spec
 
     # interleaved, each kernel's rows are scattered; grouped, each gumbel and series
@@ -326,11 +350,7 @@ class TestRowGrads:
             grads = _spec_kernel(spec)(residuals)
         for row, got_values, got_grads in zip(residuals, values, grads):
             assert got_grads.tobytes() == loss_grads(spec, row).tobytes()
-            if spec.variant == "clipped_gumbel":
-                # a clipped row is one batch around its own maximum
-                assert np.mean(got_values) == clipped_gumbel_loss(row, spec.beta, spec.clip)
-            else:
-                assert got_values.tobytes() == loss_values(spec, row).tobytes()
+            assert got_values.tobytes() == loss_values(spec, row).tobytes()
 
 
 def spec_id(spec):
@@ -397,14 +417,14 @@ class TestNoRuntimeWarnings:
         r = np.array([-1e200, -800.0, -0.0, 800.0, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert gumbel_loss(800.0, 1.0) == math.inf
-            assert gumbel_loss_grad(800.0, 1.0) == -math.inf
-            assert math.isfinite(clipped_gumbel_loss(r, 1.0, 1000.0))
-            clipped_gumbel_loss_grad(r, 1.0, 1000.0)
-            assert np.isinf(expanded_gumbel_loss(r, 1.0, 8)).any()
-            assert np.isinf(expanded_gumbel_loss_grad(r, 1.0, 8)).any()
-            assert np.isinf(expectile_loss(r, 0.3)).any()
-            assert np.isfinite(expectile_loss_grad(r, 0.3)).all()
+            assert loss_values(LossSpec.gumbel(), 800.0) == math.inf
+            assert loss_grads(LossSpec.gumbel(), 800.0) == -math.inf
+            assert math.isfinite(np.mean(loss_values(LossSpec.clipped(1.0, 1000.0), r)))
+            loss_grads(LossSpec.clipped(1.0, 1000.0), r)
+            assert np.isinf(loss_values(LossSpec.expanded(8), r)).any()
+            assert np.isinf(loss_grads(LossSpec.expanded(8), r)).any()
+            assert np.isinf(loss_values(LossSpec.expectile(0.3), r)).any()
+            assert np.isfinite(loss_grads(LossSpec.expectile(0.3), r)).all()
             for spec in EDGE_SPECS:
                 loss_values(spec, r)
                 loss_grads(spec, r)
@@ -423,7 +443,7 @@ class TestLossCurve:
 
     def test_higher_order_tracks_exponential_closer(self):
         grid = np.linspace(-2.0, 2.0, 401)
-        reference = gumbel_loss(grid, 1.0)
+        reference = loss_values(LossSpec.gumbel(), grid)
         dev4 = np.max(np.abs(loss_curve(LossSpec.expanded(4), grid)[:, 1] - reference))
         dev8 = np.max(np.abs(loss_curve(LossSpec.expanded(8), grid)[:, 1] - reference))
         assert dev8 < dev4
@@ -431,3 +451,8 @@ class TestLossCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             loss_curve(LossSpec.gumbel(), np.array([]))
+
+    @pytest.mark.parametrize("grid", ([[0.0, 1.0]], 0.5, np.zeros((2, 2))), ids=("row", "scalar", "square"))
+    def test_a_grid_that_is_not_1d_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="^grid must be a nonempty 1-d array, got shape"):
+            loss_curve(LossSpec.gumbel(), grid)

@@ -131,6 +131,11 @@ class TestSoftValue:
         with pytest.raises(ValueError):
             soft_value(zoo("bandit1"), beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_a_non_finite_beta_is_rejected_before_iterating(self, beta):
+        with pytest.raises(ValueError, match="^beta must be a positive finite real"):
+            soft_value(zoo("chain3"), beta=beta)
+
 
 class TestDatasets:
     def test_exhaustive_proportionality(self):

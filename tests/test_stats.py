@@ -52,6 +52,13 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            summarize([1.0, bad])
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            welch_t_test([1.0, 2.0, 3.0], [1.0, bad])
+
     def test_gumbel_std_monte_carlo(self):
         draws = sample_gumbel(GumbelParams(), stream(21, 0), size=10_000)
         assert abs(summarize(draws).std - math.pi / math.sqrt(6.0)) < 0.05

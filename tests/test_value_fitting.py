@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from gumbelkit import value_fitting
-from gumbelkit.losses import (
-    VARIANTS,
-    LossSpec,
-    clipped_gumbel_loss,
-    expanded_gumbel_loss,
-    loss_grads,
-)
+from gumbelkit.losses import VARIANTS, LossSpec, loss_grads, loss_values
 from gumbelkit.mdp import (
     DatasetCounts,
     TabularMdp,
@@ -109,7 +103,7 @@ class TestVStep:
         assert mean < v[0, 0] < lse
         # independent check: golden-section minimization of the empirical loss
         oracle = optimize.minimize_scalar(
-            lambda t: 0.5 * (expanded_gumbel_loss(0.0 - t, 1.0, 8) + expanded_gumbel_loss(1.0 - t, 1.0, 8)),
+            lambda t: np.mean(loss_values(LossSpec.expanded(8), [0.0 - t, 1.0 - t])),
             bracket=(0.0, 1.0),
             method="golden",
             options={"xtol": 1e-12},
@@ -433,10 +427,7 @@ class TestTrain:
         targets = data.rewards + mdp.gamma * out.v[data.next_states]
         np.testing.assert_allclose(out.final_q_loss, np.mean((targets - q_rows) ** 2), rtol=1e-12)
         residuals = q_rows - out.v[data.states]
-        if loss.variant == "clipped_gumbel":
-            v_loss = clipped_gumbel_loss(residuals, loss.beta, loss.clip)
-        else:
-            v_loss = np.mean(expanded_gumbel_loss(residuals, loss.beta, loss.order))
+        v_loss = np.mean(loss_values(loss, residuals))
         np.testing.assert_allclose(out.final_v_loss, v_loss, rtol=1e-12)
 
 
